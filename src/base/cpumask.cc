@@ -8,17 +8,11 @@
 namespace microscale
 {
 
-namespace
-{
-
 void
-checkCpu(CpuId cpu)
+CpuMask::outOfRange(CpuId cpu)
 {
-    if (cpu >= kMaxCpus)
-        MS_PANIC("CpuMask: cpu id ", cpu, " out of range");
+    MS_PANIC("CpuMask: cpu id ", cpu, " out of range");
 }
-
-} // namespace
 
 CpuMask
 CpuMask::single(CpuId cpu)
@@ -43,28 +37,6 @@ CpuMask::firstN(CpuId count)
     if (count == 0)
         return CpuMask();
     return range(0, count - 1);
-}
-
-void
-CpuMask::set(CpuId cpu)
-{
-    checkCpu(cpu);
-    words_[cpu / 64] |= std::uint64_t(1) << (cpu % 64);
-}
-
-void
-CpuMask::clear(CpuId cpu)
-{
-    checkCpu(cpu);
-    words_[cpu / 64] &= ~(std::uint64_t(1) << (cpu % 64));
-}
-
-bool
-CpuMask::test(CpuId cpu) const
-{
-    if (cpu >= kMaxCpus)
-        return false;
-    return (words_[cpu / 64] >> (cpu % 64)) & 1;
 }
 
 bool

@@ -10,6 +10,7 @@
 #define MICROSCALE_BASE_CPUMASK_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -27,6 +28,8 @@ constexpr CpuId kMaxCpus = 512;
  */
 class CpuMask
 {
+    static constexpr unsigned kWords = kMaxCpus / 64;
+
   public:
     /** The empty mask. */
     CpuMask() : words_{} {}
@@ -41,11 +44,24 @@ class CpuMask
     static CpuMask firstN(CpuId count);
 
     /** Add a CPU. */
-    void set(CpuId cpu);
+    void set(CpuId cpu)
+    {
+        if (cpu >= kMaxCpus)
+            outOfRange(cpu);
+        words_[cpu / 64] |= std::uint64_t(1) << (cpu % 64);
+    }
     /** Remove a CPU. */
-    void clear(CpuId cpu);
+    void clear(CpuId cpu)
+    {
+        if (cpu >= kMaxCpus)
+            outOfRange(cpu);
+        words_[cpu / 64] &= ~(std::uint64_t(1) << (cpu % 64));
+    }
     /** Membership test. */
-    bool test(CpuId cpu) const;
+    bool test(CpuId cpu) const
+    {
+        return cpu < kMaxCpus && ((words_[cpu / 64] >> (cpu % 64)) & 1);
+    }
 
     /** True when no CPU is set. */
     bool empty() const;
@@ -56,6 +72,15 @@ class CpuMask
     CpuId first() const;
     /** Lowest CPU set that is > `cpu`, or kInvalidCpu. */
     CpuId next(CpuId cpu) const;
+    /** Lowest CPU set in both this mask and `o`, or kInvalidCpu. */
+    CpuId firstCommon(const CpuMask &o) const
+    {
+        for (unsigned i = 0; i < kWords; ++i) {
+            if (const std::uint64_t w = words_[i] & o.words_[i])
+                return i * 64 + std::countr_zero(w);
+        }
+        return kInvalidCpu;
+    }
 
     /** Set union. */
     CpuMask operator|(const CpuMask &o) const;
@@ -77,29 +102,54 @@ class CpuMask
     /** Compact human-readable form, e.g. "0-3,8,12-15". */
     std::string toString() const;
 
-    /** Iteration support: for (CpuId c : mask). */
+    /**
+     * Iteration support: for (CpuId c : mask), in ascending order.
+     * Walks the words inline; the mask must not change mid-loop.
+     */
     class Iterator
     {
       public:
-        Iterator(const CpuMask *mask, CpuId cpu) : mask_(mask), cpu_(cpu) {}
-        CpuId operator*() const { return cpu_; }
+        Iterator(const CpuMask *mask, unsigned word)
+            : mask_(mask), word_(word), bits_(0)
+        {
+            if (word_ < kWords) {
+                bits_ = mask_->words_[word_];
+                skipEmpty();
+            }
+        }
+        CpuId operator*() const
+        {
+            return word_ * 64 + std::countr_zero(bits_);
+        }
         Iterator &operator++()
         {
-            cpu_ = mask_->next(cpu_);
+            bits_ &= bits_ - 1;
+            skipEmpty();
             return *this;
         }
-        bool operator!=(const Iterator &o) const { return cpu_ != o.cpu_; }
+        bool operator!=(const Iterator &o) const
+        {
+            return word_ != o.word_ || bits_ != o.bits_;
+        }
 
       private:
+        void skipEmpty()
+        {
+            while (bits_ == 0 && ++word_ < kWords)
+                bits_ = mask_->words_[word_];
+        }
+
         const CpuMask *mask_;
-        CpuId cpu_;
+        unsigned word_;
+        std::uint64_t bits_;
     };
 
-    Iterator begin() const { return Iterator(this, first()); }
-    Iterator end() const { return Iterator(this, kInvalidCpu); }
+    Iterator begin() const { return Iterator(this, 0); }
+    Iterator end() const { return Iterator(this, kWords); }
 
   private:
-    static constexpr unsigned kWords = kMaxCpus / 64;
+    [[noreturn]] static void outOfRange(CpuId cpu);
+
     std::array<std::uint64_t, kWords> words_;
 };
 

@@ -23,7 +23,8 @@ ExecEngine::ExecEngine(sim::Simulation &sim, const topo::Machine &machine,
       core_busy_(machine.numCores(), 0),
       active_cores_(machine.numSockets(), 0),
       socket_freq_ghz_(machine.numSockets(), 0.0),
-      cpu_busy_ns_(machine.numCpus(), 0.0)
+      cpu_busy_ns_(machine.numCpus(), 0.0),
+      seen_(machine.cpusPerCcx() + 1, nullptr)
 {
     for (SocketId s = 0; s < machine_.numSockets(); ++s)
         updateSocketFreq(s);
@@ -65,10 +66,12 @@ ExecEngine::missRatio(const ExecContext &ctx, CcxId ccx, bool cold) const
     // footprint counts once no matter how many of its threads run
     // here. This is the mechanism that rewards same-service CCX
     // affinity and punishes the default scheduler's service mixing.
+    // The scan order fixes the summation order, and so the result.
     double wss_sum = p.wssBytes; // self's profile, counted once
-    const WorkProfile *seen[16] = {&p};
+    const WorkProfile **seen = seen_.data();
+    seen[0] = &p;
     unsigned n_seen = 1;
-    for (CpuId c : machine_.cpusOfCcx(ccx)) {
+    for (CpuId c : machine_.ccxCpus(ccx)) {
         const ExecContext *r = running_[c];
         if (!r)
             continue;
@@ -81,8 +84,7 @@ ExecEngine::missRatio(const ExecContext &ctx, CcxId ccx, bool cold) const
             }
         }
         if (!dup) {
-            if (n_seen < 16)
-                seen[n_seen++] = q;
+            seen[n_seen++] = q;
             wss_sum += q->wssBytes;
         }
     }
@@ -101,15 +103,12 @@ ExecEngine::missRatio(const ExecContext &ctx, CcxId ccx, bool cold) const
 
 double
 ExecEngine::computeRate(const ExecContext &ctx, CpuId cpu,
-                        bool sibling_busy) const
+                        bool sibling_busy, double miss) const
 {
     const WorkProfile &p = *ctx.profile_;
     const auto &cache = machine_.params().cache;
     const SocketId socket = machine_.socketOf(cpu);
     const double freq = socket_freq_ghz_[socket]; // cycles per ns
-
-    const bool cold = ctx.cold_accesses_left_ > 0.0;
-    const double miss = missRatio(ctx, machine_.ccxOf(cpu), cold);
 
     NodeId home = ctx.homeNode();
     if (home == kInvalidNode)
@@ -145,7 +144,9 @@ ExecEngine::rateOn(const ExecContext &ctx, CpuId cpu) const
     const CpuId sib = machine_.siblingOf(cpu);
     if (sib != kInvalidCpu && running_[sib] == &ctx)
         sibling = false;
-    return computeRate(ctx, cpu, sibling);
+    const bool cold = ctx.cold_accesses_left_ > 0.0;
+    return computeRate(ctx, cpu, sibling,
+                       missRatio(ctx, machine_.ccxOf(cpu), cold));
 }
 
 double
@@ -217,8 +218,8 @@ ExecEngine::reprice(ExecContext &ctx)
     ctx.sibling_busy_ = siblingBusy(ctx.cpu_);
     const bool cold = ctx.cold_accesses_left_ > 0.0;
     ctx.miss_ratio_ = missRatio(ctx, machine_.ccxOf(ctx.cpu_), cold);
-    ctx.rate_ = computeRate(ctx, ctx.cpu_, ctx.sibling_busy_);
-    ctx.completion_.cancel();
+    ctx.rate_ =
+        computeRate(ctx, ctx.cpu_, ctx.sibling_busy_, ctx.miss_ratio_);
     Tick delay = 1;
     if (ctx.remaining_ > 0.0) {
         if (ctx.rate_ <= 0.0)
@@ -238,14 +239,19 @@ ExecEngine::reprice(ExecContext &ctx)
             }
         }
     }
-    ctx.completion_ =
-        sim_.scheduleAfter(delay, [this, &ctx] { complete(ctx); });
+    // Moving the pending completion takes one seq, like cancel plus
+    // schedule, so same-tick order is unchanged. Only a fired (or
+    // never scheduled) completion needs a new event.
+    if (!sim_.rearmAt(ctx.completion_, sim_.now() + delay)) {
+        ctx.completion_ =
+            sim_.scheduleAfter(delay, [this, &ctx] { complete(ctx); });
+    }
 }
 
 void
 ExecEngine::repriceCcx(CcxId ccx)
 {
-    for (CpuId c : machine_.cpusOfCcx(ccx)) {
+    for (CpuId c : machine_.ccxCpus(ccx)) {
         if (running_[c])
             reprice(*running_[c]);
     }
@@ -254,7 +260,7 @@ ExecEngine::repriceCcx(CcxId ccx)
 void
 ExecEngine::repriceSocket(SocketId socket)
 {
-    for (CpuId c : machine_.cpusOfSocket(socket)) {
+    for (CpuId c : machine_.socketMask(socket)) {
         if (running_[c])
             reprice(*running_[c]);
     }
@@ -282,7 +288,7 @@ ExecEngine::startRun(ExecContext &ctx, CpuId cpu)
             // already running here, the shared footprint is warm and
             // the move is nearly free.
             bool shared_warm = false;
-            for (CpuId c : machine_.cpusOfCcx(ccx)) {
+            for (CpuId c : machine_.ccxCpus(ccx)) {
                 const ExecContext *r = running_[c];
                 if (r && r->profile_ == ctx.profile_) {
                     shared_warm = true;

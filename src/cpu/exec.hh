@@ -20,7 +20,8 @@
  *
  * Whenever conditions change (SMT sibling start/stop, CCX occupancy
  * change, socket frequency bucket crossing), affected contexts bank
- * their progress at the old rate and reschedule at the new one.
+ * their progress at the old rate and move their pending completion
+ * event to the new finish tick (Simulation::rearmAt).
  */
 
 #ifndef MICROSCALE_CPU_EXEC_HH
@@ -205,7 +206,7 @@ class ExecEngine
     /** Bank progress of a running context up to now at its old rate. */
     void bank(ExecContext &ctx);
 
-    /** Recompute rate and reschedule the completion event. */
+    /** Recompute rate and re-arm the completion event. */
     void reprice(ExecContext &ctx);
 
     /** Bank + reprice every running context in a CCX. */
@@ -221,8 +222,9 @@ class ExecEngine
     void detach(ExecContext &ctx);
 
     double missRatio(const ExecContext &ctx, CcxId ccx, bool cold) const;
-    double computeRate(const ExecContext &ctx, CpuId cpu,
-                       bool sibling_busy) const;
+    /** Retire rate on `cpu` given an already computed L3 miss ratio. */
+    double computeRate(const ExecContext &ctx, CpuId cpu, bool sibling_busy,
+                       double miss) const;
     bool siblingBusy(CpuId cpu) const;
 
     /** Refresh socket frequency; returns true if it changed. */
@@ -237,6 +239,8 @@ class ExecEngine
     std::vector<unsigned> active_cores_;  // per socket
     std::vector<double> socket_freq_ghz_; // per socket (quantized)
     std::vector<double> cpu_busy_ns_;     // per cpu
+    /** missRatio's distinct-profile set: room for self + a whole CCX. */
+    mutable std::vector<const WorkProfile *> seen_;
 };
 
 } // namespace microscale::cpu

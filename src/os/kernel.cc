@@ -22,6 +22,8 @@ Kernel::Kernel(sim::Simulation &sim, const topo::Machine &machine,
       last_ran_(machine.numCpus(), nullptr),
       min_vruntime_(machine.numCpus(), 0.0)
 {
+    for (CpuId cpu = 0; cpu < machine_.numCpus(); ++cpu)
+        refreshIdle(cpu);
 }
 
 Kernel::~Kernel()
@@ -84,30 +86,52 @@ Kernel::cpuLoad(CpuId cpu) const
 CpuId
 Kernel::findIdleIn(const CpuMask &mask) const
 {
-    // First pass: a fully idle core (both hardware threads free), which
-    // is what select_idle_core prefers.
-    for (CpuId c : mask) {
-        if (!cpuIdle(c))
+    // First choice: a fully idle core (both hardware threads free),
+    // which is what select_idle_core prefers. Then any idle thread.
+    const CpuId c = mask.firstCommon(idle_core_);
+    return c != kInvalidCpu ? c : mask.firstCommon(idle_);
+}
+
+void
+Kernel::refreshIdle(CpuId cpu)
+{
+    const bool idle = cpuIdle(cpu);
+    if (idle)
+        idle_.set(cpu);
+    else
+        idle_.clear(cpu);
+    const CpuId sib = machine_.siblingOf(cpu);
+    const bool core_idle = idle && (sib == kInvalidCpu || cpuIdle(sib));
+    for (CpuId c : {cpu, sib}) {
+        if (c == kInvalidCpu)
             continue;
+        if (core_idle)
+            idle_core_.set(c);
+        else
+            idle_core_.clear(c);
+    }
+}
+
+bool
+Kernel::idleMasksConsistent() const
+{
+    for (CpuId c = 0; c < machine_.numCpus(); ++c) {
         const CpuId sib = machine_.siblingOf(c);
-        if (sib == kInvalidCpu || cpuIdle(sib))
-            return c;
+        const bool core_idle =
+            cpuIdle(c) && (sib == kInvalidCpu || cpuIdle(sib));
+        if (idle_.test(c) != cpuIdle(c) || idle_core_.test(c) != core_idle)
+            return false;
     }
-    // Second pass: any idle hardware thread.
-    for (CpuId c : mask) {
-        if (cpuIdle(c))
-            return c;
-    }
-    return kInvalidCpu;
+    return true;
 }
 
 namespace
 {
 
 /** Least-loaded CPU in `mask`, scanning from `hint`+1 with wraparound. */
+template <typename LoadFn>
 CpuId
-leastLoadedFrom(const CpuMask &mask, CpuId hint,
-                const std::function<unsigned(CpuId)> &load)
+leastLoadedFrom(const CpuMask &mask, CpuId hint, const LoadFn &load)
 {
     CpuId best = kInvalidCpu;
     unsigned best_load = std::numeric_limits<unsigned>::max();
@@ -153,15 +177,14 @@ Kernel::selectCpu(Thread *t)
         return prev;
 
     // 2. An idle CPU in the previous LLC (CCX) domain.
-    const CpuMask ccx_mask =
-        machine_.cpusOfCcx(machine_.ccxOf(prev)) & allowed;
+    const CpuMask ccx_mask = machine_.ccxMask(machine_.ccxOf(prev)) & allowed;
     CpuId c = findIdleIn(ccx_mask);
     if (c != kInvalidCpu)
         return c;
 
     // 3. An idle CPU in the previous NUMA node.
     const CpuMask node_mask =
-        machine_.cpusOfNode(machine_.nodeOf(prev)) & allowed;
+        machine_.nodeMask(machine_.nodeOf(prev)) & allowed;
     c = findIdleIn(node_mask);
     if (c != kInvalidCpu)
         return c;
@@ -195,6 +218,7 @@ Kernel::enqueue(Thread *t, CpuId cpu)
     t->rq_cpu_ = cpu;
     t->vruntime_ = std::max(t->vruntime_, min_vruntime_[cpu]);
     rq_[cpu].push_back(t);
+    refreshIdle(cpu);
 }
 
 Thread *
@@ -211,6 +235,7 @@ Kernel::dequeueNext(CpuId cpu)
     Thread *t = *best;
     q.erase(best);
     t->rq_cpu_ = kInvalidCpu;
+    refreshIdle(cpu);
     return t;
 }
 
@@ -224,6 +249,7 @@ Kernel::removeFromQueue(Thread *t)
     if (it == q.end())
         MS_PANIC("thread ", t->name(), " missing from its run queue");
     q.erase(it);
+    refreshIdle(t->rq_cpu_);
     t->rq_cpu_ = kInvalidCpu;
 }
 
@@ -300,10 +326,12 @@ Kernel::dispatch(Thread *t, CpuId cpu)
         last_ran_[cpu] = t;
         t->last_dispatch_ = sim_.now();
         engine_.startRun(t->ec(), cpu);
+        refreshIdle(cpu);
         return;
     }
 
     reserved_[cpu] = t;
+    refreshIdle(cpu);
     engine_.chargeOverhead(cpu, params_.switchCost, &t->ec().counters());
     sim_.scheduleAfter(params_.switchCost, [this, t, cpu] {
         if (reserved_[cpu] != t)
@@ -313,6 +341,7 @@ Kernel::dispatch(Thread *t, CpuId cpu)
         last_ran_[cpu] = t;
         t->last_dispatch_ = sim_.now();
         engine_.startRun(t->ec(), cpu);
+        refreshIdle(cpu);
     });
 }
 
@@ -325,6 +354,7 @@ Kernel::onWorkComplete(Thread *t)
         static_cast<double>(sim_.now() - t->last_dispatch_);
     t->state_ = Thread::State::Blocked;
     on_cpu_[cpu] = nullptr;
+    refreshIdle(cpu);
     ++stats_.contextSwitches;
     ++t->ec().counters().contextSwitches;
 
@@ -344,6 +374,7 @@ Kernel::preempt(CpuId cpu)
     if (!t || !t->ec().running())
         return;
     engine_.stopRun(t->ec());
+    refreshIdle(cpu);
     t->vruntime_ +=
         static_cast<double>(sim_.now() - t->last_dispatch_);
     on_cpu_[cpu] = nullptr;
@@ -432,13 +463,13 @@ bool
 Kernel::newIdlePull(CpuId cpu)
 {
     // Widening search: CCX, then node, then the whole machine.
-    const CpuMask domains[] = {
-        machine_.cpusOfCcx(machine_.ccxOf(cpu)),
-        machine_.cpusOfNode(machine_.nodeOf(cpu)),
-        machine_.allCpus(),
+    const CpuMask *domains[] = {
+        &machine_.ccxMask(machine_.ccxOf(cpu)),
+        &machine_.nodeMask(machine_.nodeOf(cpu)),
+        &machine_.allCpus(),
     };
-    for (const CpuMask &d : domains) {
-        Thread *t = stealFrom(d, cpu);
+    for (const CpuMask *d : domains) {
+        Thread *t = stealFrom(*d, cpu);
         if (t) {
             ++stats_.newIdlePulls;
             enqueue(t, cpu);
@@ -455,13 +486,13 @@ Kernel::balancePass()
     for (CpuId cpu = 0; cpu < machine_.numCpus(); ++cpu) {
         if (!cpuIdle(cpu))
             continue;
-        const CpuMask domains[] = {
-            machine_.cpusOfCcx(machine_.ccxOf(cpu)),
-            machine_.cpusOfNode(machine_.nodeOf(cpu)),
-            machine_.allCpus(),
+        const CpuMask *domains[] = {
+            &machine_.ccxMask(machine_.ccxOf(cpu)),
+            &machine_.nodeMask(machine_.nodeOf(cpu)),
+            &machine_.allCpus(),
         };
-        for (const CpuMask &d : domains) {
-            Thread *t = stealFrom(d, cpu);
+        for (const CpuMask *d : domains) {
+            Thread *t = stealFrom(*d, cpu);
             if (t) {
                 ++stats_.balancePulls;
                 enqueue(t, cpu);

@@ -110,6 +110,12 @@ class Kernel
     /** Runnable-but-waiting thread count (queue depth) on a CPU. */
     std::size_t queueDepth(CpuId cpu) const { return rq_[cpu].size(); }
 
+    /**
+     * Test hook: true when the incrementally kept idle masks equal a
+     * recomputation from cpuIdle() over every CPU.
+     */
+    bool idleMasksConsistent() const;
+
   private:
     friend class Thread;
 
@@ -130,6 +136,13 @@ class Kernel
 
     /** First idle allowed CPU in `mask`, preferring whole idle cores. */
     CpuId findIdleIn(const CpuMask &mask) const;
+
+    /**
+     * Re-derive the idle_ and idle_core_ bits of `cpu` and its SMT
+     * sibling from cpuIdle(). Called after every change to a CPU's
+     * queue, reservation or running context.
+     */
+    void refreshIdle(CpuId cpu);
 
     void enqueue(Thread *t, CpuId cpu);
     Thread *dequeueNext(CpuId cpu);
@@ -171,6 +184,8 @@ class Kernel
     std::vector<Thread *> reserved_;       // mid-switch occupant per cpu
     std::vector<Thread *> last_ran_;       // previous occupant per cpu
     std::vector<double> min_vruntime_;     // per-cpu floor
+    CpuMask idle_;      // CPUs for which cpuIdle() holds
+    CpuMask idle_core_; // idle CPUs whose SMT sibling is idle (or absent)
 
     sim::PeriodicEvent tick_;
     sim::PeriodicEvent balancer_;

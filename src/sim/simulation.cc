@@ -25,6 +25,7 @@ Simulation::releaseSlot(std::uint32_t slot)
     s.fn.reset();
     s.live = false;
     s.cancelled = false;
+    s.heap_pos = kNoSlot;
     // Stale handles must observe a different generation from now on.
     ++s.gen;
     s.next_free = free_head_;
@@ -62,50 +63,112 @@ Simulation::cancelEvent(std::uint32_t slot, std::uint32_t gen)
     maybeCompact();
 }
 
+bool
+Simulation::rearmAt(const EventHandle &handle, Tick when)
+{
+    if (handle.sim_ != this ||
+        !handlePending(handle.slot_, handle.gen_))
+        return false;
+    if (when < now_)
+        MS_PANIC("rearming event into the past: ", when, " < ", now_);
+    EventSlot &s = slots_[handle.slot_];
+    const std::size_t pos = s.heap_pos;
+    const Tick old_when = s.when;
+    s.when = when;
+    heap_when_[pos] = when;
+    heap_seq_[pos] = next_seq_++;
+    // The new seq is larger than any queued one, so the key moved
+    // towards the root only if the tick did.
+    if (when < old_when)
+        siftUp(pos);
+    else
+        siftDown(pos);
+    return true;
+}
+
+bool
+Simulation::heapConsistent() const
+{
+    const std::size_t n = heap_when_.size();
+    for (std::size_t i = 0; i < n; ++i) {
+        if (slots_[heap_slot_[i]].heap_pos != i)
+            return false;
+        if (i > 0) {
+            const std::size_t parent = (i - 1) / 2;
+            if (keyLess(heap_when_[i], heap_seq_[i], heap_when_[parent],
+                        heap_seq_[parent]))
+                return false;
+        }
+    }
+    return true;
+}
+
 void
 Simulation::heapPush(Tick when, std::uint64_t seq, std::uint32_t slot)
 {
     heap_when_.push_back(when);
     heap_seq_.push_back(seq);
     heap_slot_.push_back(slot);
-    std::size_t i = heap_when_.size() - 1;
+    siftUp(heap_when_.size() - 1);
+}
+
+void
+Simulation::siftUp(std::size_t i)
+{
+    // Hole-based: parents move down into the hole, the entry is
+    // written once at its final position.
+    const Tick when = heap_when_[i];
+    const std::uint64_t seq = heap_seq_[i];
+    const std::uint32_t slot = heap_slot_[i];
     while (i > 0) {
         const std::size_t parent = (i - 1) / 2;
-        if (!heapLess(i, parent))
+        if (!keyLess(when, seq, heap_when_[parent], heap_seq_[parent]))
             break;
-        heapSwap(i, parent);
+        heapPlace(i, heap_when_[parent], heap_seq_[parent],
+                  heap_slot_[parent]);
         i = parent;
     }
+    heapPlace(i, when, seq, slot);
 }
 
 void
 Simulation::siftDown(std::size_t i)
 {
     const std::size_t n = heap_when_.size();
+    const Tick when = heap_when_[i];
+    const std::uint64_t seq = heap_seq_[i];
+    const std::uint32_t slot = heap_slot_[i];
     for (;;) {
         const std::size_t l = 2 * i + 1;
+        if (l >= n)
+            break;
+        std::size_t best = l;
         const std::size_t r = l + 1;
-        std::size_t best = i;
-        if (l < n && heapLess(l, best))
-            best = l;
-        if (r < n && heapLess(r, best))
+        if (r < n && keyLess(heap_when_[r], heap_seq_[r], heap_when_[l],
+                             heap_seq_[l]))
             best = r;
-        if (best == i)
-            return;
-        heapSwap(i, best);
+        if (!keyLess(heap_when_[best], heap_seq_[best], when, seq))
+            break;
+        heapPlace(i, heap_when_[best], heap_seq_[best], heap_slot_[best]);
         i = best;
     }
+    heapPlace(i, when, seq, slot);
 }
 
 void
 Simulation::heapPopTop()
 {
-    const std::size_t n = heap_when_.size();
-    heapSwap(0, n - 1);
+    const std::size_t last = heap_when_.size() - 1;
+    slots_[heap_slot_[0]].heap_pos = kNoSlot;
+    if (last > 0) {
+        heap_when_[0] = heap_when_[last];
+        heap_seq_[0] = heap_seq_[last];
+        heap_slot_[0] = heap_slot_[last];
+    }
     heap_when_.pop_back();
     heap_seq_.pop_back();
     heap_slot_.pop_back();
-    if (heap_when_.size() > 1)
+    if (!heap_when_.empty())
         siftDown(0);
 }
 
@@ -126,9 +189,7 @@ Simulation::maybeCompact()
             releaseSlot(slot);
             continue;
         }
-        heap_when_[out] = heap_when_[i];
-        heap_seq_[out] = heap_seq_[i];
-        heap_slot_[out] = heap_slot_[i];
+        heapPlace(out, heap_when_[i], heap_seq_[i], heap_slot_[i]);
         ++out;
     }
     heap_when_.resize(out);

@@ -12,9 +12,11 @@
  * per-event heap allocation on the steady path), callbacks are stored
  * in a fixed-size inline buffer (EventFn) instead of std::function,
  * and the ready queue is a flat binary heap over struct-of-arrays
- * (when, seq, slot) keys. Handles are generation-tagged slot
- * references, so a stale handle to a fired or cancelled event can
- * never touch a recycled slot.
+ * (when, seq, slot) keys. The heap is indexed: every slot records its
+ * position in the heap, so a pending event can be re-keyed in place
+ * (rearmAt). Handles are generation-tagged slot references, so a
+ * stale handle to a fired or cancelled event can never touch a
+ * recycled slot.
  */
 
 #ifndef MICROSCALE_SIM_SIMULATION_HH
@@ -257,6 +259,17 @@ class Simulation
     }
 
     /**
+     * Move a pending event to absolute time `when` (must be >= now),
+     * keeping its callback and handle. The event takes a fresh seq,
+     * exactly as cancel() followed by a new scheduleAt() would, so
+     * same-tick ordering is identical to that pair; it only saves the
+     * dead shell and the second slot.
+     * @return false (and does nothing) when the handle is inert,
+     *         stale, fired or cancelled.
+     */
+    bool rearmAt(const EventHandle &handle, Tick when);
+
+    /**
      * Run until no foreground events remain or stop() is called.
      * Pending background events (periodic ticks) do not keep the
      * simulation alive.
@@ -293,6 +306,12 @@ class Simulation
     /** Event slots currently allocated in the slab (capacity probe). */
     std::size_t slabSlots() const { return slots_.size(); }
 
+    /**
+     * Test hook: true when the heap is ordered by (when, seq) and every
+     * heap entry's slot records that entry's position.
+     */
+    bool heapConsistent() const;
+
   private:
     friend class EventHandle;
 
@@ -303,6 +322,8 @@ class Simulation
         /** Bumped on release; stale handles compare unequal. */
         std::uint32_t gen = 0;
         std::uint32_t next_free = kNoSlot;
+        /** Index of this event's heap entry while it has one. */
+        std::uint32_t heap_pos = kNoSlot;
         bool background = false;
         bool cancelled = false;
         /** Scheduled (heap shell exists) and not yet released. */
@@ -331,18 +352,21 @@ class Simulation
     /** Flat binary heap over (when, seq) with slot payload. */
     void heapPush(Tick when, std::uint64_t seq, std::uint32_t slot);
     void heapPopTop();
+    void siftUp(std::size_t i);
     void siftDown(std::size_t i);
-    bool heapLess(std::size_t a, std::size_t b) const
+    static bool keyLess(Tick wa, std::uint64_t sa, Tick wb,
+                        std::uint64_t sb)
     {
-        if (heap_when_[a] != heap_when_[b])
-            return heap_when_[a] < heap_when_[b];
-        return heap_seq_[a] < heap_seq_[b];
+        return wa != wb ? wa < wb : sa < sb;
     }
-    void heapSwap(std::size_t a, std::size_t b)
+    /** Write an entry at heap index `i` and record it in its slot. */
+    void heapPlace(std::size_t i, Tick when, std::uint64_t seq,
+                   std::uint32_t slot)
     {
-        std::swap(heap_when_[a], heap_when_[b]);
-        std::swap(heap_seq_[a], heap_seq_[b]);
-        std::swap(heap_slot_[a], heap_slot_[b]);
+        heap_when_[i] = when;
+        heap_seq_[i] = seq;
+        heap_slot_[i] = slot;
+        slots_[slot].heap_pos = static_cast<std::uint32_t>(i);
     }
 
     /**

@@ -26,41 +26,45 @@ Machine::Machine(MachineParams params) : params_(std::move(params))
             mem_latency_[static_cast<std::size_t>(from) * nodes + to] = lat;
         }
     }
-}
 
-CoreId
-Machine::coreOf(CpuId cpu) const
-{
-    if (cpu >= numCpus())
-        MS_PANIC("coreOf: cpu ", cpu, " out of range");
-    return cpu % numCores();
-}
-
-CcxId
-Machine::ccxOf(CpuId cpu) const
-{
-    return coreOf(cpu) / params_.coresPerCcx;
-}
-
-NodeId
-Machine::nodeOf(CpuId cpu) const
-{
-    return ccxOf(cpu) / params_.ccxsPerNode;
-}
-
-SocketId
-Machine::socketOf(CpuId cpu) const
-{
-    return nodeOf(cpu) / params_.nodesPerSocket;
-}
-
-CpuId
-Machine::siblingOf(CpuId cpu) const
-{
-    if (params_.threadsPerCore < 2)
-        return kInvalidCpu;
+    const unsigned cpus = numCpus();
     const unsigned cores = numCores();
-    return cpu < cores ? cpu + cores : cpu - cores;
+    ccx_masks_.resize(numCcxs());
+    node_masks_.resize(nodes);
+    socket_masks_.resize(numSockets());
+    for (CpuId cpu = 0; cpu < cpus; ++cpu) {
+        const CoreId core = cpu % cores;
+        const CcxId ccx = core / params_.coresPerCcx;
+        const NodeId node = ccx / params_.ccxsPerNode;
+        const SocketId socket = node / params_.nodesPerSocket;
+        core_of_.push_back(core);
+        ccx_of_.push_back(ccx);
+        node_of_.push_back(node);
+        socket_of_.push_back(socket);
+        sibling_of_.push_back(params_.threadsPerCore < 2 ? kInvalidCpu
+                              : cpu < cores             ? cpu + cores
+                                                        : cpu - cores);
+        ccx_masks_[ccx].set(cpu);
+        node_masks_[node].set(cpu);
+        socket_masks_[socket].set(cpu);
+    }
+    cpus_per_ccx_ = params_.coresPerCcx * params_.threadsPerCore;
+    for (const CpuMask &m : ccx_masks_) {
+        for (CpuId cpu : m)
+            ccx_cpus_.push_back(cpu);
+    }
+}
+
+void
+Machine::cpuOutOfRange(const char *what, CpuId cpu)
+{
+    MS_PANIC(what, ": cpu ", cpu, " out of range");
+}
+
+void
+Machine::domainOutOfRange(const char *what, unsigned id)
+{
+    MS_PANIC(what, ": id ", id, " out of range");
 }
 
 CpuMask
@@ -77,36 +81,19 @@ Machine::cpusOfCore(CoreId core) const
 CpuMask
 Machine::cpusOfCcx(CcxId ccx) const
 {
-    if (ccx >= numCcxs())
-        MS_PANIC("cpusOfCcx: ccx ", ccx, " out of range");
-    const CoreId first = ccx * params_.coresPerCcx;
-    CpuMask m;
-    for (CoreId c = first; c < first + params_.coresPerCcx; ++c)
-        m |= cpusOfCore(c);
-    return m;
+    return ccxMask(ccx);
 }
 
 CpuMask
 Machine::cpusOfNode(NodeId node) const
 {
-    if (node >= numNodes())
-        MS_PANIC("cpusOfNode: node ", node, " out of range");
-    CpuMask m;
-    for (CcxId x : ccxsOfNode(node))
-        m |= cpusOfCcx(x);
-    return m;
+    return nodeMask(node);
 }
 
 CpuMask
 Machine::cpusOfSocket(SocketId socket) const
 {
-    if (socket >= numSockets())
-        MS_PANIC("cpusOfSocket: socket ", socket, " out of range");
-    CpuMask m;
-    const NodeId first = socket * params_.nodesPerSocket;
-    for (NodeId n = first; n < first + params_.nodesPerSocket; ++n)
-        m |= cpusOfNode(n);
-    return m;
+    return socketMask(socket);
 }
 
 NodeId

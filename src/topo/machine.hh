@@ -7,11 +7,16 @@
  * CPUs [cores, 2*cores) are the SMT siblings, i.e. CPU c and CPU
  * c + numCores() share a core. Cores are numbered contiguously within
  * a CCX, CCXs within a node, nodes within a socket.
+ *
+ * Every per-CPU relation and every domain mask is precomputed at
+ * construction into flat tables, so the hot-path lookups the exec
+ * model and the scheduler make per event are a single load.
  */
 
 #ifndef MICROSCALE_TOPO_MACHINE_HH
 #define MICROSCALE_TOPO_MACHINE_HH
 
+#include <span>
 #include <vector>
 
 #include "base/cpumask.hh"
@@ -49,16 +54,41 @@ class Machine
     unsigned coresPerCcx() const { return params_.coresPerCcx; }
 
     /** Physical core of a logical CPU. */
-    CoreId coreOf(CpuId cpu) const;
+    CoreId coreOf(CpuId cpu) const
+    {
+        if (cpu >= core_of_.size())
+            cpuOutOfRange("coreOf", cpu);
+        return core_of_[cpu];
+    }
     /** CCX (shared-L3 domain) of a logical CPU. */
-    CcxId ccxOf(CpuId cpu) const;
+    CcxId ccxOf(CpuId cpu) const
+    {
+        if (cpu >= ccx_of_.size())
+            cpuOutOfRange("ccxOf", cpu);
+        return ccx_of_[cpu];
+    }
     /** NUMA node of a logical CPU. */
-    NodeId nodeOf(CpuId cpu) const;
+    NodeId nodeOf(CpuId cpu) const
+    {
+        if (cpu >= node_of_.size())
+            cpuOutOfRange("nodeOf", cpu);
+        return node_of_[cpu];
+    }
     /** Socket of a logical CPU. */
-    SocketId socketOf(CpuId cpu) const;
+    SocketId socketOf(CpuId cpu) const
+    {
+        if (cpu >= socket_of_.size())
+            cpuOutOfRange("socketOf", cpu);
+        return socket_of_[cpu];
+    }
 
     /** SMT sibling CPU, or kInvalidCpu when SMT is off. */
-    CpuId siblingOf(CpuId cpu) const;
+    CpuId siblingOf(CpuId cpu) const
+    {
+        if (cpu >= sibling_of_.size())
+            cpuOutOfRange("siblingOf", cpu);
+        return sibling_of_[cpu];
+    }
     /** True when `cpu` is the first hardware thread of its core. */
     bool isPrimaryThread(CpuId cpu) const { return cpu < numCores(); }
 
@@ -71,9 +101,41 @@ class Machine
     /** All logical CPUs of one socket. */
     CpuMask cpusOfSocket(SocketId socket) const;
     /** Every logical CPU in the machine. */
-    CpuMask allCpus() const { return all_cpus_; }
+    const CpuMask &allCpus() const { return all_cpus_; }
     /** The first hardware thread of every core (the SMT-off view). */
-    CpuMask primaryThreads() const { return primary_threads_; }
+    const CpuMask &primaryThreads() const { return primary_threads_; }
+
+    /** All logical CPUs of one CCX, without a copy. */
+    const CpuMask &ccxMask(CcxId ccx) const
+    {
+        if (ccx >= ccx_masks_.size())
+            domainOutOfRange("ccxMask", ccx);
+        return ccx_masks_[ccx];
+    }
+    /** All logical CPUs of one NUMA node, without a copy. */
+    const CpuMask &nodeMask(NodeId node) const
+    {
+        if (node >= node_masks_.size())
+            domainOutOfRange("nodeMask", node);
+        return node_masks_[node];
+    }
+    /** All logical CPUs of one socket, without a copy. */
+    const CpuMask &socketMask(SocketId socket) const
+    {
+        if (socket >= socket_masks_.size())
+            domainOutOfRange("socketMask", socket);
+        return socket_masks_[socket];
+    }
+    /** The logical CPUs of one CCX in ascending order. */
+    std::span<const CpuId> ccxCpus(CcxId ccx) const
+    {
+        if (ccx >= ccx_masks_.size())
+            domainOutOfRange("ccxCpus", ccx);
+        return {ccx_cpus_.data() + std::size_t(ccx) * cpus_per_ccx_,
+                cpus_per_ccx_};
+    }
+    /** Logical CPUs per CCX (every CCX has the same count). */
+    unsigned cpusPerCcx() const { return cpus_per_ccx_; }
 
     /** NUMA node a CCX belongs to. */
     NodeId nodeOfCcx(CcxId ccx) const;
@@ -92,10 +154,28 @@ class Machine
     std::string describe() const;
 
   private:
+    [[noreturn]] static void cpuOutOfRange(const char *what, CpuId cpu);
+    [[noreturn]] static void domainOutOfRange(const char *what,
+                                              unsigned id);
+
     MachineParams params_;
     CpuMask all_cpus_;
     CpuMask primary_threads_;
     std::vector<double> mem_latency_; // numNodes x numNodes
+
+    // Per-CPU relations, indexed by CpuId.
+    std::vector<CoreId> core_of_;
+    std::vector<CcxId> ccx_of_;
+    std::vector<NodeId> node_of_;
+    std::vector<SocketId> socket_of_;
+    std::vector<CpuId> sibling_of_;
+    // Domain masks, indexed by domain id.
+    std::vector<CpuMask> ccx_masks_;
+    std::vector<CpuMask> node_masks_;
+    std::vector<CpuMask> socket_masks_;
+    // CPUs of each CCX in ascending order, cpus_per_ccx_ per CCX.
+    std::vector<CpuId> ccx_cpus_;
+    unsigned cpus_per_ccx_ = 0;
 };
 
 } // namespace microscale::topo

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "base/cpumask.hh"
 #include "base/random.hh"
@@ -166,6 +167,48 @@ TEST_P(CpuMaskProperty, MatchesReferenceSet)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CpuMaskProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+TEST(CpuMask, InlineIteratorMatchesNextWalk)
+{
+    std::vector<CpuMask> masks = {
+        CpuMask(),
+        CpuMask::single(0),
+        CpuMask::single(63),
+        CpuMask::single(64),
+        CpuMask::single(kMaxCpus - 1),
+        CpuMask::range(63, 64),
+        CpuMask::single(0) | CpuMask::single(kMaxCpus - 1),
+        CpuMask::firstN(kMaxCpus),
+    };
+    Rng rng(99);
+    for (int i = 0; i < 200; ++i) {
+        CpuMask m;
+        const std::uint64_t bits = rng.uniformInt(0, 40);
+        for (std::uint64_t k = 0; k < bits; ++k)
+            m.set(static_cast<CpuId>(rng.uniformInt(0, kMaxCpus - 1)));
+        if (i % 4 == 0) {
+            m.set(63);
+            m.set(64);
+            m.set(kMaxCpus - 1);
+        }
+        masks.push_back(m);
+    }
+
+    for (std::size_t i = 0; i < masks.size(); ++i) {
+        const CpuMask &m = masks[i];
+        std::vector<CpuId> walked;
+        for (CpuId c = m.first(); c != kInvalidCpu; c = m.next(c))
+            walked.push_back(c);
+        std::vector<CpuId> iterated;
+        for (CpuId c : m)
+            iterated.push_back(c);
+        EXPECT_EQ(iterated, walked) << m.toString();
+
+        const CpuMask &o = masks[(i + 1) % masks.size()];
+        EXPECT_EQ(m.firstCommon(o), (m & o).first())
+            << m.toString() << " & " << o.toString();
+    }
+}
 
 } // namespace
 } // namespace microscale

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "base/random.hh"
@@ -476,6 +477,65 @@ TEST_P(ExecMonotonicity, NeighborsNeverHelp)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExecMonotonicity,
                          ::testing::Values(10, 20, 30, 40));
+
+TEST(ExecSharing, EachWorkingSetCountsOnceInALargeCcx)
+{
+    // A 16-core SMT2 CCX (32 logical CPUs) running 21 distinct
+    // profiles, the last five of them twice: every working set must
+    // enter the L3 share once, however many distinct profiles precede
+    // its second appearance in the CCX scan.
+    topo::MachineParams params = topo::rome128();
+    params.coresPerCcx = 16;
+    params.ccxsPerNode = 1;
+    params.cache.l3BytesPerCcx = 64ull * 1024 * 1024;
+    sim::Simulation sim;
+    topo::Machine machine(params);
+    ASSERT_EQ(machine.cpusPerCcx(), 32u);
+    ExecEngine engine(sim, machine);
+
+    constexpr unsigned kProfiles = 21;
+    std::vector<WorkProfile> profiles(kProfiles);
+    for (unsigned i = 0; i < kProfiles; ++i) {
+        profiles[i].name = "svc" + std::to_string(i);
+        profiles[i].ipcBase = 1.0;
+        profiles[i].l3Apki = 10.0;
+        profiles[i].wssBytes = 4.0 * 1024 * 1024;
+    }
+
+    // CCX 0 scans CPUs 0-15, then their siblings 64-79.
+    std::vector<CpuId> cpus;
+    for (CpuId c = 0; c < 16; ++c)
+        cpus.push_back(c);
+    for (CpuId c = 64; c < 80; ++c)
+        cpus.push_back(c);
+    std::vector<const WorkProfile *> placed;
+    for (unsigned i = 0; i < kProfiles; ++i)
+        placed.push_back(&profiles[i]);
+    for (unsigned i = kProfiles - 5; i < kProfiles; ++i)
+        placed.push_back(&profiles[i]);
+    ASSERT_LE(placed.size(), cpus.size());
+
+    std::vector<std::unique_ptr<ExecContext>> ctxs;
+    for (std::size_t i = 0; i < placed.size(); ++i) {
+        ctxs.push_back(std::make_unique<ExecContext>(
+            "c" + std::to_string(i), kInvalidNode));
+        engine.setWork(*ctxs.back(), *placed[i], 1e12, [] {});
+        engine.startRun(*ctxs.back(), cpus[i]);
+    }
+    sim.runUntil(kMillisecond);
+    engine.bankAll();
+
+    const PerfModelParams &pm = engine.params();
+    const double wss = profiles[0].wssBytes;
+    const double share =
+        static_cast<double>(params.cache.l3BytesPerCcx) * wss /
+        (kProfiles * wss);
+    const double expected =
+        pm.missFloor + (1.0 - pm.missFloor) * (1.0 - share / wss);
+    const PerfCounters &c = ctxs[0]->counters();
+    ASSERT_GT(c.l3Accesses, 0.0);
+    EXPECT_NEAR(c.l3Misses / c.l3Accesses, expected, 1e-12);
+}
 
 } // namespace
 } // namespace microscale::cpu

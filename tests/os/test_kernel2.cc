@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "base/random.hh"
 #include "os/kernel.hh"
 #include "sim/simulation.hh"
 #include "topo/presets.hh"
@@ -184,6 +189,92 @@ TEST_F(Kernel2Test, ManyThreadsManyCpusAllFinish)
     }
     sim_.run();
     EXPECT_EQ(done, 32);
+}
+
+TEST(KernelIdleMasks, MatchRecomputationThroughASaturatedRun)
+{
+    // FIG-01-style churn on rome128: more threads than CPUs, bursts
+    // and sleeps, a quarter of the threads pinned to one CPU and a
+    // quarter to one CCX, and affinity changes mid-run, with
+    // preemption, new-idle stealing and load balancing all on. The
+    // incrementally kept idle masks must equal a recomputation from
+    // cpuIdle() at every check.
+    sim::Simulation sim;
+    topo::Machine machine(topo::rome128());
+    cpu::ExecEngine engine(sim, machine);
+    SchedParams params;
+    params.timeslice = 200 * kMicrosecond;
+    params.balancePeriod = 250 * kMicrosecond;
+    Kernel kernel(sim, machine, engine, params, 3);
+    ASSERT_TRUE(kernel.idleMasksConsistent());
+    kernel.start();
+    Rng rng(17);
+
+    cpu::WorkProfile profile;
+    profile.name = "churn";
+    profile.ipcBase = 1.2;
+    profile.l3Apki = 2.0;
+    profile.wssBytes = 2.0 * 1024 * 1024;
+
+    constexpr int kThreads = 160;
+    constexpr Tick kEnd = 40 * kMillisecond;
+    std::vector<Thread *> threads;
+    for (int i = 0; i < kThreads; ++i) {
+        CpuMask affinity = machine.allCpus();
+        if (i % 4 == 0)
+            affinity = CpuMask::single(static_cast<CpuId>(i) % 64);
+        else if (i % 4 == 2)
+            affinity = machine.ccxMask(i % machine.numCcxs());
+        threads.push_back(
+            kernel.createThread("w" + std::to_string(i), affinity));
+    }
+
+    int mismatches = 0;
+    auto check = [&] {
+        if (!kernel.idleMasksConsistent())
+            ++mismatches;
+    };
+    std::function<void(int)> submit = [&](int i) {
+        threads[i]->run(profile, rng.uniformReal(1e6, 12e6), [&, i] {
+            check();
+            if (sim.now() >= kEnd)
+                return;
+            if (rng.uniformReal(0.0, 1.0) < 0.5) {
+                submit(i);
+            } else {
+                sim.scheduleAfter(
+                    static_cast<Tick>(rng.uniformInt(1, 500)) *
+                        kMicrosecond,
+                    [&, i] { submit(i); });
+            }
+        });
+    };
+    for (int i = 0; i < kThreads; ++i)
+        submit(i);
+
+    sim::PeriodicEvent checker;
+    checker.start(sim, 25 * kMicrosecond, check);
+    sim::PeriodicEvent repin;
+    repin.start(sim, 2 * kMillisecond, [&] {
+        Thread *t = threads[rng.index(threads.size())];
+        const CcxId ccx =
+            static_cast<CcxId>(rng.uniformInt(0, machine.numCcxs() - 1));
+        t->setAffinity(rng.uniformReal(0.0, 1.0) < 0.5
+                           ? machine.ccxMask(ccx)
+                           : machine.allCpus());
+        check();
+    });
+    sim.run();
+    checker.stop();
+    repin.stop();
+    kernel.stop();
+
+    EXPECT_EQ(mismatches, 0);
+    EXPECT_TRUE(kernel.idleMasksConsistent());
+    const SchedStats &st = kernel.stats();
+    EXPECT_GT(st.preemptions, 0u);
+    EXPECT_GT(st.newIdlePulls, 0u);
+    EXPECT_GT(st.balancePulls, 0u);
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the slab-allocated event core: randomized
- * schedule/cancel/reschedule interleavings cross-checked against a
- * naive reference queue, FIFO tie-break and heap-property invariants,
+ * schedule/cancel/rearm interleavings cross-checked against a naive
+ * reference queue, FIFO tie-break and heap-property invariants,
  * handle-generation reuse safety, EventFn storage classes, and the
  * queuedEvents() live-count semantics.
  */
@@ -261,11 +261,15 @@ struct RefQueue
     }
 };
 
-TEST(EventCore, RandomizedMatchesReferenceQueue)
+/**
+ * Drive the slab core and the naive reference with an identical random
+ * interleaving of schedule/cancel/advance operations, plus rearms when
+ * `rearm` is set, and require identical firing orders. The reference
+ * models a rearm as cancel plus a new schedule of the same id.
+ */
+void
+checkRandomizedAgainstReference(bool rearm)
 {
-    // Drive the slab core and the naive reference with an identical
-    // random interleaving of schedule/cancel/advance operations and
-    // require identical firing orders.
     std::mt19937_64 rng(12345);
     for (int trial = 0; trial < 20; ++trial) {
         Simulation sim;
@@ -275,7 +279,7 @@ TEST(EventCore, RandomizedMatchesReferenceQueue)
         Tick horizon = 0;
         int next_id = 0;
         for (int op = 0; op < 400; ++op) {
-            const std::uint64_t what = rng() % 10;
+            const std::uint64_t what = rng() % (rearm ? 12 : 10);
             if (what < 6) {
                 const Tick when = horizon + rng() % 1000;
                 const int id = next_id++;
@@ -291,6 +295,17 @@ TEST(EventCore, RandomizedMatchesReferenceQueue)
                 ref.evs[live[pick].second].cancelled = true;
                 live.erase(live.begin() +
                            static_cast<std::ptrdiff_t>(pick));
+            } else if (what >= 10) {
+                if (live.empty())
+                    continue;
+                // Rearm, often onto a tick other events already use.
+                const std::size_t pick = rng() % live.size();
+                const Tick when = horizon + rng() % 200;
+                ASSERT_TRUE(sim.rearmAt(live[pick].first, when));
+                ref.evs[live[pick].second].cancelled = true;
+                const int id = ref.evs[live[pick].second].id;
+                live[pick].second = ref.add(when, id);
+                EXPECT_EQ(live[pick].first.when(), when);
             } else {
                 horizon += rng() % 500;
                 sim.runUntil(horizon);
@@ -308,6 +323,8 @@ TEST(EventCore, RandomizedMatchesReferenceQueue)
             ASSERT_EQ(simFired, refFired) << "trial " << trial
                                           << " op " << op;
             ASSERT_EQ(sim.queuedEvents(), live.size());
+            ASSERT_TRUE(sim.heapConsistent()) << "trial " << trial
+                                              << " op " << op;
         }
         horizon += 1000000;
         sim.runUntil(horizon);
@@ -316,6 +333,16 @@ TEST(EventCore, RandomizedMatchesReferenceQueue)
         EXPECT_EQ(simFired, refFired) << "trial " << trial;
         EXPECT_EQ(sim.queuedEvents(), 0u);
     }
+}
+
+TEST(EventCore, RandomizedMatchesReferenceQueue)
+{
+    checkRandomizedAgainstReference(false);
+}
+
+TEST(EventCore, RandomizedRearmMatchesCancelPlusSchedule)
+{
+    checkRandomizedAgainstReference(true);
 }
 
 TEST(EventCore, RescheduleViaCancelPlusScheduleKeepsFifo)
@@ -336,6 +363,129 @@ TEST(EventCore, RescheduleViaCancelPlusScheduleKeepsFifo)
     completion = sim.scheduleAt(100, [&] { order.push_back(4); });
     sim.run();
     EXPECT_EQ(order, (std::vector<int>{1, 3, 4}));
+}
+
+TEST(EventCore, RearmTakesTheSameTickOrderAsCancelPlusSchedule)
+{
+    // The same sequence as above with the completion moved in place:
+    // it must land behind every event scheduled before each rearm.
+    Simulation sim;
+    std::vector<int> order;
+    EventHandle completion =
+        sim.scheduleAt(100, [&] { order.push_back(0); });
+    sim.scheduleAt(100, [&] { order.push_back(1); });
+    ASSERT_TRUE(sim.rearmAt(completion, 100));
+    sim.scheduleAt(100, [&] { order.push_back(3); });
+    ASSERT_TRUE(sim.rearmAt(completion, 100));
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 3, 0}));
+}
+
+TEST(EventCore, RearmMovesEarlierAndLater)
+{
+    Simulation sim;
+    std::vector<int> order;
+    EventHandle a = sim.scheduleAt(50, [&] { order.push_back(0); });
+    sim.scheduleAt(20, [&] { order.push_back(1); });
+    EventHandle c = sim.scheduleAt(10, [&] { order.push_back(2); });
+    ASSERT_TRUE(sim.rearmAt(a, 5));
+    ASSERT_TRUE(sim.rearmAt(c, 30));
+    EXPECT_EQ(a.when(), 5u);
+    EXPECT_EQ(c.when(), 30u);
+    EXPECT_TRUE(sim.heapConsistent());
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(sim.now(), 30u);
+}
+
+TEST(EventCore, RearmOfDeadHandlesIsRefused)
+{
+    Simulation sim;
+    int ran = 0;
+    EXPECT_FALSE(sim.rearmAt(EventHandle(), 10)); // inert
+
+    EventHandle fired = sim.scheduleAt(10, [&] { ++ran; });
+    sim.run();
+    EXPECT_FALSE(sim.rearmAt(fired, 20));
+
+    EventHandle cancelled = sim.scheduleAt(30, [&] { ++ran; });
+    EventHandle copy = cancelled;
+    cancelled.cancel();
+    EXPECT_FALSE(sim.rearmAt(copy, 40));
+
+    // A stale handle whose slot now holds another event.
+    EventHandle stale = sim.scheduleAt(50, [&] { ++ran; });
+    sim.run();
+    EventHandle reuse = sim.scheduleAt(60, [&] { ++ran; });
+    EXPECT_FALSE(sim.rearmAt(stale, 70));
+    EXPECT_EQ(reuse.when(), 60u);
+
+    // A handle from another simulation.
+    Simulation other;
+    EventHandle foreign = other.scheduleAt(10, [] {});
+    EXPECT_FALSE(sim.rearmAt(foreign, 80));
+    EXPECT_EQ(foreign.when(), 10u);
+
+    sim.run();
+    EXPECT_EQ(ran, 3);
+    EXPECT_EQ(sim.now(), 60u);
+    EXPECT_TRUE(sim.heapConsistent());
+}
+
+TEST(EventCore, RearmLeavesLiveCountsUnchanged)
+{
+    Simulation sim;
+    EventHandle fg = sim.scheduleAt(10, [] {});
+    EventHandle bg = sim.scheduleAt(20, [] {}, /*background=*/true);
+    sim.scheduleAt(30, [] {});
+    EXPECT_EQ(sim.queuedEvents(), 3u);
+    EXPECT_EQ(sim.foregroundQueued(), 2u);
+    const std::size_t slots = sim.slabSlots();
+    ASSERT_TRUE(sim.rearmAt(fg, 40));
+    ASSERT_TRUE(sim.rearmAt(bg, 5));
+    EXPECT_EQ(sim.queuedEvents(), 3u);
+    EXPECT_EQ(sim.foregroundQueued(), 2u);
+    // In place: no new slot, and the background event stays background.
+    EXPECT_EQ(sim.slabSlots(), slots);
+    sim.run();
+    EXPECT_EQ(sim.now(), 40u);
+    EXPECT_EQ(sim.foregroundQueued(), 0u);
+}
+
+TEST(EventCore, RearmAroundCompactionKeepsHeapPositions)
+{
+    Simulation sim;
+    std::vector<Tick> fired;
+    std::vector<EventHandle> keep, drop;
+    for (int i = 0; i < 200; ++i) {
+        const Tick when = 1000 + static_cast<Tick>((i * 37) % 400);
+        EventHandle h =
+            sim.scheduleAt(when, [&fired, &sim] {
+                fired.push_back(sim.now());
+            });
+        (i % 4 == 0 ? keep : drop).push_back(h);
+    }
+    // Before compaction, with cancelled shells still in the heap.
+    for (std::size_t i = 0; i < 50; ++i)
+        drop[i].cancel();
+    for (std::size_t i = 0; i < keep.size(); i += 3)
+        ASSERT_TRUE(sim.rearmAt(keep[i], 900 + i));
+    ASSERT_TRUE(sim.heapConsistent());
+    const std::size_t slots_before = sim.slabSlots();
+    for (std::size_t i = 50; i < drop.size(); ++i)
+        drop[i].cancel(); // crosses the compaction threshold
+    ASSERT_TRUE(sim.heapConsistent());
+    EXPECT_EQ(sim.queuedEvents(), keep.size());
+    // After compaction: positions were rewritten by the rebuild.
+    for (std::size_t i = 1; i < keep.size(); i += 3)
+        ASSERT_TRUE(sim.rearmAt(keep[i], 2000 - i));
+    ASSERT_TRUE(sim.heapConsistent());
+    // Compaction released the dropped slots for reuse.
+    sim.scheduleAt(5000, [&fired, &sim] { fired.push_back(sim.now()); });
+    EXPECT_EQ(sim.slabSlots(), slots_before);
+    sim.run();
+    EXPECT_EQ(fired.size(), keep.size() + 1);
+    EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
 }
 
 } // namespace

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "cluster/cluster.hh"
 #include "topo/machine.hh"
 #include "topo/presets.hh"
 
@@ -193,8 +195,92 @@ TEST_P(PresetInvariants, PartitionsAreConsistent)
     }
 }
 
+/**
+ * Every flat table and every mask accessor equals its arithmetic
+ * definition from the Linux-style numbering.
+ */
+void
+expectTablesMatchArithmetic(const Machine &m)
+{
+    SCOPED_TRACE(m.describe());
+    const MachineParams &p = m.params();
+    const unsigned cores = m.numCores();
+    std::vector<CpuMask> ccxs(m.numCcxs()), nodes(m.numNodes()),
+        sockets(m.numSockets());
+    for (CpuId c = 0; c < m.numCpus(); ++c) {
+        const CoreId core = c % cores;
+        const CcxId ccx = core / p.coresPerCcx;
+        const NodeId node = ccx / p.ccxsPerNode;
+        const SocketId socket = node / p.nodesPerSocket;
+        const CpuId sib = p.threadsPerCore < 2 ? kInvalidCpu
+                          : c < cores         ? c + cores
+                                              : c - cores;
+        EXPECT_EQ(m.coreOf(c), core) << "cpu " << c;
+        EXPECT_EQ(m.ccxOf(c), ccx) << "cpu " << c;
+        EXPECT_EQ(m.nodeOf(c), node) << "cpu " << c;
+        EXPECT_EQ(m.socketOf(c), socket) << "cpu " << c;
+        EXPECT_EQ(m.siblingOf(c), sib) << "cpu " << c;
+        ccxs[ccx].set(c);
+        nodes[node].set(c);
+        sockets[socket].set(c);
+    }
+    EXPECT_EQ(m.cpusPerCcx(), p.coresPerCcx * p.threadsPerCore);
+    for (CcxId x = 0; x < m.numCcxs(); ++x) {
+        EXPECT_EQ(m.ccxMask(x), ccxs[x]) << "ccx " << x;
+        EXPECT_EQ(m.cpusOfCcx(x), ccxs[x]) << "ccx " << x;
+        const std::vector<CpuId> listed(m.ccxCpus(x).begin(),
+                                        m.ccxCpus(x).end());
+        std::vector<CpuId> ascending;
+        for (CpuId c : ccxs[x])
+            ascending.push_back(c);
+        EXPECT_EQ(listed, ascending) << "ccx " << x;
+    }
+    for (NodeId n = 0; n < m.numNodes(); ++n) {
+        EXPECT_EQ(m.nodeMask(n), nodes[n]) << "node " << n;
+        EXPECT_EQ(m.cpusOfNode(n), nodes[n]) << "node " << n;
+    }
+    for (SocketId s = 0; s < m.numSockets(); ++s) {
+        EXPECT_EQ(m.socketMask(s), sockets[s]) << "socket " << s;
+        EXPECT_EQ(m.cpusOfSocket(s), sockets[s]) << "socket " << s;
+    }
+}
+
+TEST_P(PresetInvariants, TablesMatchArithmetic)
+{
+    expectTablesMatchArithmetic(Machine(presetByName(GetParam())));
+}
+
 INSTANTIATE_TEST_SUITE_P(AllPresets, PresetInvariants,
                          ::testing::ValuesIn(presetNames()));
+
+TEST(MachineTables, SmtOffMatchesArithmetic)
+{
+    for (MachineParams p : {rome128(), small8(), rome128x2()}) {
+        p.threadsPerCore = 1;
+        expectTablesMatchArithmetic(Machine(p));
+    }
+}
+
+TEST(MachineTables, Fig10CcxSizesMatchArithmetic)
+{
+    // FIG-10's shapes: 16 cores per node cut into CCXs of 2-16 cores.
+    for (unsigned cores_per_ccx : {2u, 4u, 8u, 16u}) {
+        MachineParams p = rome128();
+        p.coresPerCcx = cores_per_ccx;
+        p.ccxsPerNode = 16 / cores_per_ccx;
+        expectTablesMatchArithmetic(Machine(p));
+    }
+}
+
+TEST(MachineTables, SixteenNodeClusterMatchesArithmetic)
+{
+    cluster::ClusterParams cp;
+    cp.nodes = 16;
+    cp.nodeMachine = server32();
+    const Machine m(cluster::clusterMachine(cp));
+    ASSERT_EQ(m.numCpus(), kMaxCpus);
+    expectTablesMatchArithmetic(m);
+}
 
 } // namespace
 } // namespace microscale::topo
