@@ -22,6 +22,7 @@
 #include <sstream>
 #include <string>
 
+#include "apps/socialnet/runner.hh"
 #include "core/experiment.hh"
 #include "core/json.hh"
 #include "teastore/chaos.hh"
@@ -132,6 +133,44 @@ TEST(Golden, Fig15TraceAttribution)
     c.trace.sampleRate = 1.0;
     const RunResult r = runExperiment(c);
     checkGolden("fig15_trace.json", resultJson(r));
+}
+
+/**
+ * The paper's saturated point at reduced windows: rome128 under
+ * os-default placement with 3000 closed-loop users. Unlike the small8
+ * scenarios above, no CPU is idle for most of the run, so wake
+ * placement takes the least-loaded-queue branch on a 128-CPU machine
+ * and 8-CPU CCXs run several threads of one profile at once.
+ */
+TEST(Golden, Rome128Saturated)
+{
+    ExperimentConfig c;
+    c.machine = topo::rome128();
+    c.placement = PlacementKind::OsDefault;
+    c.load.users = 3000;
+    c.warmup = 200 * kMillisecond;
+    c.measure = 200 * kMillisecond;
+    const RunResult r = runExperiment(c);
+    checkGolden("rome128_saturated.json", resultJson(r));
+}
+
+/** The deep hedged socialnet graph on rome128, at short windows. */
+TEST(Golden, SocialnetHedged)
+{
+    ExperimentConfig c;
+    c.machine = topo::rome128();
+    c.openLoopRps = 1200.0;
+    c.warmup = 100 * kMillisecond;
+    c.measure = 300 * kMillisecond;
+    socialnet::RunOptions opts;
+    opts.app.depth = 4;
+    opts.app.fanWidth = 4;
+    opts.stragglerFactor = 10.0;
+    opts.hedge = true;
+    opts.hedgeDelay = 1200 * kMicrosecond;
+    opts.hedgeBudget = 0.5;
+    const RunResult r = socialnet::runSocialnet(c, opts);
+    checkGolden("socialnet_hedged.json", resultJson(r));
 }
 
 } // namespace
