@@ -81,6 +81,24 @@ class CpuMask
         }
         return kInvalidCpu;
     }
+    /**
+     * Lowest CPU >= `from` set in both this mask and `o`, or
+     * kInvalidCpu (also when `from` is past the capacity).
+     */
+    CpuId firstCommonFrom(const CpuMask &o, CpuId from) const
+    {
+        if (from >= kMaxCpus)
+            return kInvalidCpu;
+        unsigned i = from / 64;
+        std::uint64_t w =
+            words_[i] & o.words_[i] & (~std::uint64_t(0) << (from % 64));
+        while (w == 0) {
+            if (++i == kWords)
+                return kInvalidCpu;
+            w = words_[i] & o.words_[i];
+        }
+        return i * 64 + std::countr_zero(w);
+    }
 
     /** Set union. */
     CpuMask operator|(const CpuMask &o) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "base/logging.hh"
 
@@ -24,7 +25,8 @@ ExecEngine::ExecEngine(sim::Simulation &sim, const topo::Machine &machine,
       active_cores_(machine.numSockets(), 0),
       socket_freq_ghz_(machine.numSockets(), 0.0),
       cpu_busy_ns_(machine.numCpus(), 0.0),
-      seen_(machine.cpusPerCcx() + 1, nullptr)
+      prof_(machine.cpusPerCcx(), nullptr),
+      prof_ratio_(machine.cpusPerCcx(), 0.0)
 {
     for (SocketId s = 0; s < machine_.numSockets(); ++s)
         updateSocketFreq(s);
@@ -54,48 +56,58 @@ ExecEngine::siblingBusy(CpuId cpu) const
     return sib != kInvalidCpu && running_[sib] != nullptr;
 }
 
-double
-ExecEngine::missRatio(const ExecContext &ctx, CcxId ccx, bool cold) const
+void
+ExecEngine::collectProfiles(CcxId ccx) const
 {
-    const WorkProfile &p = *ctx.profile_;
-    if (p.wssBytes <= 0.0)
-        return params_.missFloor;
-
-    // Sum the *distinct* working sets competing for this CCX's L3:
-    // threads of the same service share code and heap, so a profile's
-    // footprint counts once no matter how many of its threads run
-    // here. This is the mechanism that rewards same-service CCX
-    // affinity and punishes the default scheduler's service mixing.
-    // The scan order fixes the summation order, and so the result.
-    double wss_sum = p.wssBytes; // self's profile, counted once
-    const WorkProfile **seen = seen_.data();
-    seen[0] = &p;
-    unsigned n_seen = 1;
+    n_prof_ = 0;
     for (CpuId c : machine_.ccxCpus(ccx)) {
         const ExecContext *r = running_[c];
         if (!r)
             continue;
         const WorkProfile *q = r->profile_;
-        bool dup = false;
-        for (unsigned i = 0; i < n_seen; ++i) {
-            if (seen[i] == q) {
-                dup = true;
-                break;
-            }
-        }
-        if (!dup) {
-            seen[n_seen++] = q;
-            wss_sum += q->wssBytes;
+        if (std::find(prof_.begin(), prof_.begin() + n_prof_, q) ==
+            prof_.begin() + n_prof_) {
+            prof_ratio_[n_prof_] = std::numeric_limits<double>::quiet_NaN();
+            prof_[n_prof_++] = q;
         }
     }
+}
 
-    const double l3 =
-        static_cast<double>(machine_.params().cache.l3BytesPerCcx);
-    double share = wss_sum > 0.0 ? l3 * (p.wssBytes / wss_sum) : l3;
-    share = std::max(share, params_.minL3ShareBytes);
-    const double resident = std::min(share, p.wssBytes);
-    double ratio = params_.missFloor +
-                   (1.0 - params_.missFloor) * (1.0 - resident / p.wssBytes);
+double
+ExecEngine::missRatio(const WorkProfile &p, bool cold) const
+{
+    if (p.wssBytes <= 0.0)
+        return params_.missFloor;
+
+    const unsigned slot = static_cast<unsigned>(
+        std::find(prof_.begin(), prof_.begin() + n_prof_, &p) -
+        prof_.begin());
+    double ratio = slot < n_prof_ ? prof_ratio_[slot]
+                                  : std::numeric_limits<double>::quiet_NaN();
+    if (std::isnan(ratio)) {
+        // Sum the *distinct* working sets competing for this CCX's L3:
+        // threads of the same service share code and heap, so a
+        // profile's footprint counts once no matter how many of its
+        // threads run here. This is the mechanism that rewards
+        // same-service CCX affinity and punishes the default
+        // scheduler's service mixing. Self comes first, then the other
+        // profiles in first-occurrence CPU order: that order fixes the
+        // floating-point sum, and so the result.
+        double wss_sum = p.wssBytes;
+        for (unsigned i = 0; i < n_prof_; ++i) {
+            if (i != slot)
+                wss_sum += prof_[i]->wssBytes;
+        }
+        const double l3 =
+            static_cast<double>(machine_.params().cache.l3BytesPerCcx);
+        double share = wss_sum > 0.0 ? l3 * (p.wssBytes / wss_sum) : l3;
+        share = std::max(share, params_.minL3ShareBytes);
+        const double resident = std::min(share, p.wssBytes);
+        ratio = params_.missFloor + (1.0 - params_.missFloor) *
+                                        (1.0 - resident / p.wssBytes);
+        if (slot < n_prof_)
+            prof_ratio_[slot] = ratio;
+    }
     if (cold)
         ratio = std::max(ratio, params_.coldMissRatio);
     return ratio;
@@ -144,9 +156,16 @@ ExecEngine::rateOn(const ExecContext &ctx, CpuId cpu) const
     const CpuId sib = machine_.siblingOf(cpu);
     if (sib != kInvalidCpu && running_[sib] == &ctx)
         sibling = false;
-    const bool cold = ctx.cold_accesses_left_ > 0.0;
-    return computeRate(ctx, cpu, sibling,
-                       missRatio(ctx, machine_.ccxOf(cpu), cold));
+    return computeRate(ctx, cpu, sibling, missRatioOn(ctx, cpu));
+}
+
+double
+ExecEngine::missRatioOn(const ExecContext &ctx, CpuId cpu) const
+{
+    if (!ctx.hasWork())
+        MS_PANIC("missRatioOn without work attached");
+    collectProfiles(machine_.ccxOf(cpu));
+    return missRatio(*ctx.profile_, ctx.cold());
 }
 
 double
@@ -212,12 +231,10 @@ ExecEngine::bank(ExecContext &ctx)
 void
 ExecEngine::reprice(ExecContext &ctx)
 {
-    if (!ctx.running())
-        return;
     bank(ctx);
     ctx.sibling_busy_ = siblingBusy(ctx.cpu_);
-    const bool cold = ctx.cold_accesses_left_ > 0.0;
-    ctx.miss_ratio_ = missRatio(ctx, machine_.ccxOf(ctx.cpu_), cold);
+    const bool cold = ctx.cold();
+    ctx.miss_ratio_ = missRatio(*ctx.profile_, cold);
     ctx.rate_ =
         computeRate(ctx, ctx.cpu_, ctx.sibling_busy_, ctx.miss_ratio_);
     Tick delay = 1;
@@ -251,6 +268,7 @@ ExecEngine::reprice(ExecContext &ctx)
 void
 ExecEngine::repriceCcx(CcxId ccx)
 {
+    collectProfiles(ccx);
     for (CpuId c : machine_.ccxCpus(ccx)) {
         if (running_[c])
             reprice(*running_[c]);
@@ -260,9 +278,20 @@ ExecEngine::repriceCcx(CcxId ccx)
 void
 ExecEngine::repriceSocket(SocketId socket)
 {
+    // Ascending CPU order across the socket, not CCX by CCX: a CCX's
+    // SMT siblings sit numCores() further on, and the order of the
+    // re-arms fixes how same-tick completions are sequenced.
+    CcxId collected = ~CcxId(0);
     for (CpuId c : machine_.socketMask(socket)) {
-        if (running_[c])
-            reprice(*running_[c]);
+        ExecContext *r = running_[c];
+        if (!r)
+            continue;
+        const CcxId ccx = machine_.ccxOf(c);
+        if (ccx != collected) {
+            collectProfiles(ccx);
+            collected = ccx;
+        }
+        reprice(*r);
     }
 }
 
@@ -368,6 +397,7 @@ ExecEngine::complete(ExecContext &ctx)
     bank(ctx);
     if (ctx.remaining_ > 0.0) {
         // Woke early (cold-refill boundary or rounding): re-evaluate.
+        collectProfiles(machine_.ccxOf(ctx.cpu_));
         reprice(ctx);
         return;
     }

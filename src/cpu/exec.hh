@@ -108,6 +108,12 @@ class ExecContext
     bool running() const { return cpu_ != kInvalidCpu; }
     /** CPU this context last ran on (for wake placement). */
     CpuId lastCpu() const { return last_cpu_; }
+    /** Profile of the attached work item, or nullptr. */
+    const WorkProfile *profile() const { return profile_; }
+    /** True while refilling its cache after a cross-CCX migration. */
+    bool cold() const { return cold_accesses_left_ > 0.0; }
+    /** L3 miss ratio of the last rate computation. */
+    double missRatio() const { return miss_ratio_; }
 
   private:
     friend class ExecEngine;
@@ -193,6 +199,9 @@ class ExecEngine
      */
     double rateOn(const ExecContext &ctx, CpuId cpu) const;
 
+    /** The L3 miss ratio behind rateOn(ctx, cpu). */
+    double missRatioOn(const ExecContext &ctx, CpuId cpu) const;
+
     /** Current socket frequency in GHz. */
     double socketFreqGhz(SocketId socket) const;
 
@@ -206,7 +215,10 @@ class ExecEngine
     /** Bank progress of a running context up to now at its old rate. */
     void bank(ExecContext &ctx);
 
-    /** Recompute rate and re-arm the completion event. */
+    /**
+     * Recompute rate and re-arm the completion event. The profiles of
+     * the context's CCX must be collected (collectProfiles).
+     */
     void reprice(ExecContext &ctx);
 
     /** Bank + reprice every running context in a CCX. */
@@ -221,7 +233,19 @@ class ExecEngine
     /** Detach from CPU and update occupancy (shared by stop/complete). */
     void detach(ExecContext &ctx);
 
-    double missRatio(const ExecContext &ctx, CcxId ccx, bool cold) const;
+    /**
+     * Collect the distinct profiles running on `ccx` into prof_, in
+     * first-occurrence CPU order, and forget their memoized ratios.
+     * The set holds until a context starts or stops on the CCX.
+     */
+    void collectProfiles(CcxId ccx) const;
+
+    /**
+     * L3 miss ratio of a thread running `p` on the CCX last collected.
+     * The non-cold ratio is memoized per profile slot, so threads of
+     * one profile share it until the next collectProfiles.
+     */
+    double missRatio(const WorkProfile &p, bool cold) const;
     /** Retire rate on `cpu` given an already computed L3 miss ratio. */
     double computeRate(const ExecContext &ctx, CpuId cpu, bool sibling_busy,
                        double miss) const;
@@ -239,8 +263,11 @@ class ExecEngine
     std::vector<unsigned> active_cores_;  // per socket
     std::vector<double> socket_freq_ghz_; // per socket (quantized)
     std::vector<double> cpu_busy_ns_;     // per cpu
-    /** missRatio's distinct-profile set: room for self + a whole CCX. */
-    mutable std::vector<const WorkProfile *> seen_;
+    // collectProfiles' distinct-profile set (room for a whole CCX) and
+    // missRatio's memo per slot (NaN = not yet computed).
+    mutable std::vector<const WorkProfile *> prof_;
+    mutable std::vector<double> prof_ratio_;
+    mutable unsigned n_prof_ = 0;
 };
 
 } // namespace microscale::cpu

@@ -20,10 +20,11 @@ Kernel::Kernel(sim::Simulation &sim, const topo::Machine &machine,
       on_cpu_(machine.numCpus(), nullptr),
       reserved_(machine.numCpus(), nullptr),
       last_ran_(machine.numCpus(), nullptr),
-      min_vruntime_(machine.numCpus(), 0.0)
+      min_vruntime_(machine.numCpus(), 0.0),
+      load_(machine.numCpus())
 {
     for (CpuId cpu = 0; cpu < machine_.numCpus(); ++cpu)
-        refreshIdle(cpu);
+        refreshLoad(cpu);
 }
 
 Kernel::~Kernel()
@@ -89,19 +90,17 @@ Kernel::findIdleIn(const CpuMask &mask) const
     // First choice: a fully idle core (both hardware threads free),
     // which is what select_idle_core prefers. Then any idle thread.
     const CpuId c = mask.firstCommon(idle_core_);
-    return c != kInvalidCpu ? c : mask.firstCommon(idle_);
+    return c != kInvalidCpu ? c : mask.firstCommon(load_.idle());
 }
 
 void
-Kernel::refreshIdle(CpuId cpu)
+Kernel::refreshLoad(CpuId cpu)
 {
-    const bool idle = cpuIdle(cpu);
-    if (idle)
-        idle_.set(cpu);
-    else
-        idle_.clear(cpu);
+    const unsigned load = cpuLoad(cpu);
+    load_.set(cpu, load);
     const CpuId sib = machine_.siblingOf(cpu);
-    const bool core_idle = idle && (sib == kInvalidCpu || cpuIdle(sib));
+    const bool core_idle =
+        load == 0 && (sib == kInvalidCpu || cpuIdle(sib));
     for (CpuId c : {cpu, sib}) {
         if (c == kInvalidCpu)
             continue;
@@ -115,61 +114,58 @@ Kernel::refreshIdle(CpuId cpu)
 bool
 Kernel::idleMasksConsistent() const
 {
+    if (!load_.consistent())
+        return false;
     for (CpuId c = 0; c < machine_.numCpus(); ++c) {
         const CpuId sib = machine_.siblingOf(c);
         const bool core_idle =
             cpuIdle(c) && (sib == kInvalidCpu || cpuIdle(sib));
-        if (idle_.test(c) != cpuIdle(c) || idle_core_.test(c) != core_idle)
+        if (load_.load(c) != cpuLoad(c) ||
+            load_.idle().test(c) != cpuIdle(c) ||
+            idle_core_.test(c) != core_idle)
             return false;
     }
     return true;
 }
 
-namespace
-{
-
-/** Least-loaded CPU in `mask`, scanning from `hint`+1 with wraparound. */
-template <typename LoadFn>
 CpuId
-leastLoadedFrom(const CpuMask &mask, CpuId hint, const LoadFn &load)
+LoadIndex::leastLoaded(const CpuMask &mask, CpuId hint) const
 {
-    CpuId best = kInvalidCpu;
-    unsigned best_load = std::numeric_limits<unsigned>::max();
-    // Two sweeps emulate a circular scan starting after the hint.
-    auto consider = [&](CpuId c) {
-        const unsigned l = load(c);
-        if (l < best_load) {
-            best_load = l;
-            best = c;
-        }
-    };
-    bool past_hint = hint == kInvalidCpu;
-    for (CpuId c : mask) {
-        if (past_hint)
-            consider(c);
-        if (c == hint)
-            past_hint = true;
+    const bool circular = mask.test(hint);
+    for (const CpuMask &bucket : by_load_) {
+        CpuId c = circular ? mask.firstCommonFrom(bucket, hint + 1)
+                           : kInvalidCpu;
+        if (c == kInvalidCpu)
+            c = mask.firstCommon(bucket);
+        if (c != kInvalidCpu)
+            return c;
     }
-    for (CpuId c : mask) {
-        consider(c);
-        if (c == hint)
-            break;
-    }
-    return best;
+    return kInvalidCpu;
 }
 
-} // namespace
+bool
+LoadIndex::consistent() const
+{
+    std::size_t members = 0;
+    for (unsigned l = 0; l < by_load_.size(); ++l) {
+        for (CpuId c : by_load_[l]) {
+            if (c >= load_.size() || load_[c] != l)
+                return false;
+            ++members;
+        }
+    }
+    return members == load_.size();
+}
 
 CpuId
 Kernel::selectCpu(Thread *t)
 {
     const CpuMask &allowed = t->affinity();
     const CpuId prev = t->ec().lastCpu();
-    auto load = [this](CpuId c) { return cpuLoad(c); };
 
     if (prev == kInvalidCpu) {
         // Fork/exec balancing: place on the least-loaded allowed CPU.
-        return leastLoadedFrom(allowed, kInvalidCpu, load);
+        return load_.leastLoaded(allowed, kInvalidCpu);
     }
 
     // 1. The previous CPU, if it is idle and still allowed.
@@ -196,17 +192,17 @@ Kernel::selectCpu(Thread *t)
 
     // 5. Nothing idle: least-loaded queue, preferring the local CCX.
     if (!ccx_mask.empty()) {
-        const CpuId local = leastLoadedFrom(ccx_mask, prev, load);
+        const CpuId local = load_.leastLoaded(ccx_mask, prev);
         // Only stay local when the local queues are not clearly worse
         // than the best queue anywhere.
-        const CpuId global = leastLoadedFrom(allowed, prev, load);
+        const CpuId global = load_.leastLoaded(allowed, prev);
         if (local != kInvalidCpu &&
-            cpuLoad(local) <= cpuLoad(global) + 1) {
+            load_.load(local) <= load_.load(global) + 1) {
             return local;
         }
         return global;
     }
-    return leastLoadedFrom(allowed, prev, load);
+    return load_.leastLoaded(allowed, prev);
 }
 
 void
@@ -218,7 +214,7 @@ Kernel::enqueue(Thread *t, CpuId cpu)
     t->rq_cpu_ = cpu;
     t->vruntime_ = std::max(t->vruntime_, min_vruntime_[cpu]);
     rq_[cpu].push_back(t);
-    refreshIdle(cpu);
+    refreshLoad(cpu);
 }
 
 Thread *
@@ -235,7 +231,7 @@ Kernel::dequeueNext(CpuId cpu)
     Thread *t = *best;
     q.erase(best);
     t->rq_cpu_ = kInvalidCpu;
-    refreshIdle(cpu);
+    refreshLoad(cpu);
     return t;
 }
 
@@ -249,7 +245,7 @@ Kernel::removeFromQueue(Thread *t)
     if (it == q.end())
         MS_PANIC("thread ", t->name(), " missing from its run queue");
     q.erase(it);
-    refreshIdle(t->rq_cpu_);
+    refreshLoad(t->rq_cpu_);
     t->rq_cpu_ = kInvalidCpu;
 }
 
@@ -326,12 +322,12 @@ Kernel::dispatch(Thread *t, CpuId cpu)
         last_ran_[cpu] = t;
         t->last_dispatch_ = sim_.now();
         engine_.startRun(t->ec(), cpu);
-        refreshIdle(cpu);
+        refreshLoad(cpu);
         return;
     }
 
     reserved_[cpu] = t;
-    refreshIdle(cpu);
+    refreshLoad(cpu);
     engine_.chargeOverhead(cpu, params_.switchCost, &t->ec().counters());
     sim_.scheduleAfter(params_.switchCost, [this, t, cpu] {
         if (reserved_[cpu] != t)
@@ -341,7 +337,7 @@ Kernel::dispatch(Thread *t, CpuId cpu)
         last_ran_[cpu] = t;
         t->last_dispatch_ = sim_.now();
         engine_.startRun(t->ec(), cpu);
-        refreshIdle(cpu);
+        refreshLoad(cpu);
     });
 }
 
@@ -354,7 +350,7 @@ Kernel::onWorkComplete(Thread *t)
         static_cast<double>(sim_.now() - t->last_dispatch_);
     t->state_ = Thread::State::Blocked;
     on_cpu_[cpu] = nullptr;
-    refreshIdle(cpu);
+    refreshLoad(cpu);
     ++stats_.contextSwitches;
     ++t->ec().counters().contextSwitches;
 
@@ -374,7 +370,7 @@ Kernel::preempt(CpuId cpu)
     if (!t || !t->ec().running())
         return;
     engine_.stopRun(t->ec());
-    refreshIdle(cpu);
+    refreshLoad(cpu);
     t->vruntime_ +=
         static_cast<double>(sim_.now() - t->last_dispatch_);
     on_cpu_[cpu] = nullptr;

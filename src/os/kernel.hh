@@ -52,6 +52,58 @@ struct SchedParams
     bool newIdleSteal = true;
 };
 
+/**
+ * Per-CPU run-queue loads (running or reserved, plus queued) indexed
+ * by value: one CpuMask per load holds the CPUs at that load, so the
+ * load-0 mask is the idle set and the least-loaded CPU of a mask is
+ * found by walking the buckets upward instead of scanning CPUs.
+ */
+class LoadIndex
+{
+  public:
+    /** CPUs [0, num_cpus), all at load 0. */
+    explicit LoadIndex(CpuId num_cpus)
+        : load_(num_cpus, 0), by_load_(1, CpuMask::firstN(num_cpus))
+    {
+    }
+
+    unsigned load(CpuId cpu) const { return load_[cpu]; }
+
+    /** CPUs at load 0. */
+    const CpuMask &idle() const { return by_load_.front(); }
+
+    /** Move `cpu` to bucket `load`. */
+    void set(CpuId cpu, unsigned load)
+    {
+        const unsigned old = load_[cpu];
+        if (load == old)
+            return;
+        by_load_[old].clear(cpu);
+        if (load >= by_load_.size())
+            by_load_.resize(load + 1);
+        by_load_[load].set(cpu);
+        load_[cpu] = load;
+    }
+
+    /**
+     * Least-loaded CPU of `mask`, or kInvalidCpu when `mask` has none.
+     * Ties go to the first CPU after `hint` in circular order (the
+     * hint itself last). When `hint` is not in `mask` (kInvalidCpu
+     * included) there is no circle: ties go to the lowest CPU. That
+     * is what the two-sweep scan this index replaced returned, and
+     * keeping it keeps placement after an affinity change that leaves
+     * the previous CPU outside the mask byte-identical.
+     */
+    CpuId leastLoaded(const CpuMask &mask, CpuId hint) const;
+
+    /** True when each CPU sits in exactly the bucket of its load. */
+    bool consistent() const;
+
+  private:
+    std::vector<unsigned> load_;   // per cpu
+    std::vector<CpuMask> by_load_; // CPUs per load value
+};
+
 /** Aggregate scheduler activity over a run. */
 struct SchedStats
 {
@@ -111,8 +163,9 @@ class Kernel
     std::size_t queueDepth(CpuId cpu) const { return rq_[cpu].size(); }
 
     /**
-     * Test hook: true when the incrementally kept idle masks equal a
-     * recomputation from cpuIdle() over every CPU.
+     * Test hook: true when the incrementally kept load index and
+     * idle-core mask equal a recomputation from cpuLoad() and
+     * cpuIdle() over every CPU.
      */
     bool idleMasksConsistent() const;
 
@@ -138,11 +191,11 @@ class Kernel
     CpuId findIdleIn(const CpuMask &mask) const;
 
     /**
-     * Re-derive the idle_ and idle_core_ bits of `cpu` and its SMT
-     * sibling from cpuIdle(). Called after every change to a CPU's
+     * Re-derive the load_ entry of `cpu` and the idle_core_ bits of
+     * `cpu` and its SMT sibling. Called after every change to a CPU's
      * queue, reservation or running context.
      */
-    void refreshIdle(CpuId cpu);
+    void refreshLoad(CpuId cpu);
 
     void enqueue(Thread *t, CpuId cpu);
     Thread *dequeueNext(CpuId cpu);
@@ -184,7 +237,7 @@ class Kernel
     std::vector<Thread *> reserved_;       // mid-switch occupant per cpu
     std::vector<Thread *> last_ran_;       // previous occupant per cpu
     std::vector<double> min_vruntime_;     // per-cpu floor
-    CpuMask idle_;      // CPUs for which cpuIdle() holds
+    LoadIndex load_;    // cpuLoad() per cpu; load 0 = cpuIdle()
     CpuMask idle_core_; // idle CPUs whose SMT sibling is idle (or absent)
 
     sim::PeriodicEvent tick_;

@@ -210,5 +210,38 @@ TEST(CpuMask, InlineIteratorMatchesNextWalk)
     }
 }
 
+TEST(CpuMask, FirstCommonFromMatchesNextWalk)
+{
+    Rng rng(123);
+    for (int i = 0; i < 300; ++i) {
+        CpuMask a, b;
+        const double density = rng.uniformReal(0.0, 0.2);
+        for (CpuId c = 0; c < kMaxCpus; ++c) {
+            if (rng.uniformReal(0.0, 1.0) < density)
+                a.set(c);
+            if (rng.uniformReal(0.0, 1.0) < 0.5)
+                b.set(c);
+        }
+        if (i % 3 == 0) {
+            a.set(63);
+            a.set(64);
+            a.set(kMaxCpus - 1);
+            b.set(64);
+            b.set(kMaxCpus - 1);
+        }
+        const CpuMask both = a & b;
+        for (CpuId from : {0u, 1u, 62u, 63u, 64u, 65u, 127u, 128u,
+                           kMaxCpus - 1, kMaxCpus, kMaxCpus + 7,
+                           kInvalidCpu}) {
+            // The walk: first common CPU, then next() until >= from.
+            CpuId want = both.first();
+            while (want != kInvalidCpu && want < from)
+                want = both.next(want);
+            EXPECT_EQ(a.firstCommonFrom(b, from), want)
+                << "from " << from << " in " << both.toString();
+        }
+    }
+}
+
 } // namespace
 } // namespace microscale

@@ -230,9 +230,16 @@ TEST(KernelIdleMasks, MatchRecomputationThroughASaturatedRun)
     }
 
     int mismatches = 0;
+    int deep_queues = 0; // checks that saw a queue two threads deep
     auto check = [&] {
         if (!kernel.idleMasksConsistent())
             ++mismatches;
+        for (CpuId c = 0; c < machine.numCpus(); ++c) {
+            if (kernel.queueDepth(c) >= 2) {
+                ++deep_queues;
+                break;
+            }
+        }
     };
     std::function<void(int)> submit = [&](int i) {
         threads[i]->run(profile, rng.uniformReal(1e6, 12e6), [&, i] {
@@ -255,13 +262,18 @@ TEST(KernelIdleMasks, MatchRecomputationThroughASaturatedRun)
     sim::PeriodicEvent checker;
     checker.start(sim, 25 * kMicrosecond, check);
     sim::PeriodicEvent repin;
+    int prev_outside = 0; // repins that left the last CPU disallowed
     repin.start(sim, 2 * kMillisecond, [&] {
         Thread *t = threads[rng.index(threads.size())];
         const CcxId ccx =
             static_cast<CcxId>(rng.uniformInt(0, machine.numCcxs() - 1));
-        t->setAffinity(rng.uniformReal(0.0, 1.0) < 0.5
-                           ? machine.ccxMask(ccx)
-                           : machine.allCpus());
+        const CpuMask &allowed = rng.uniformReal(0.0, 1.0) < 0.5
+                                     ? machine.ccxMask(ccx)
+                                     : machine.allCpus();
+        if (t->ec().lastCpu() != kInvalidCpu &&
+            !allowed.test(t->ec().lastCpu()))
+            ++prev_outside;
+        t->setAffinity(allowed);
         check();
     });
     sim.run();
@@ -271,6 +283,12 @@ TEST(KernelIdleMasks, MatchRecomputationThroughASaturatedRun)
 
     EXPECT_EQ(mismatches, 0);
     EXPECT_TRUE(kernel.idleMasksConsistent());
+    // The run reached what the load index serves: deep queues, both
+    // kinds of stealing, and placement with the last CPU disallowed.
+    EXPECT_GT(deep_queues, 0);
+    EXPECT_GT(kernel.stats().newIdlePulls, 0u);
+    EXPECT_GT(kernel.stats().balancePulls, 0u);
+    EXPECT_GT(prev_outside, 0);
     const SchedStats &st = kernel.stats();
     EXPECT_GT(st.preemptions, 0u);
     EXPECT_GT(st.newIdlePulls, 0u);
