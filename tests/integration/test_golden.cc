@@ -7,7 +7,10 @@
  * captured golden produced by the pre-refactor engine. These pin the
  * event-core refactor: any change to event ordering, RNG draw
  * sequences or histogram accumulation in the default (per-user) mode
- * shows up as a diff here.
+ * shows up as a diff here. The last three pin the other runners —
+ * autoscale::runElastic, cluster::runScaleout with a drained R=2 data
+ * tier, and traced socialnet::runSocialnet — so the world assembly,
+ * window protocol and harvest they share cannot drift.
  *
  * Regenerating (only when an intentional behavior change lands):
  *   MICROSCALE_REGEN_GOLDENS=1 ./test_integration \
@@ -23,6 +26,8 @@
 #include <string>
 
 #include "apps/socialnet/runner.hh"
+#include "autoscale/elastic.hh"
+#include "cluster/cluster.hh"
 #include "core/experiment.hh"
 #include "core/json.hh"
 #include "teastore/chaos.hh"
@@ -171,6 +176,77 @@ TEST(Golden, SocialnetHedged)
     opts.hedgeBudget = 0.5;
     const RunResult r = socialnet::runSocialnet(c, opts);
     checkGolden("socialnet_hedged.json", resultJson(r));
+}
+
+/**
+ * An elastic run on small8: spike schedule, threshold autoscaler
+ * growing from a 2-core initial deployment into the 4-core budget,
+ * with FIG-13's chaos-brownout fault script and resilient policy (the
+ * fault injector and the resilience harvest; no gray-failure kinds).
+ */
+TEST(Golden, ElasticSpike)
+{
+    autoscale::ElasticConfig ec;
+    ec.base = baseConfig();
+    ec.base.placement = PlacementKind::CcxAware;
+    ec.base.faults = teastore::makeChaosScript(
+        teastore::ChaosScenario::Brownout, ec.base.warmup,
+        ec.base.measure);
+    ec.base.resilience = teastore::resilientPolicy();
+    ec.base.app.degradedFallbacks = true;
+    ec.schedule = autoscale::makeSchedule(
+        "spike", 200.0, 1200.0, ec.base.warmup, ec.base.measure);
+    ec.initialCores = 2;
+    ec.autoscaler.policy = autoscale::PolicyKind::Threshold;
+    ec.autoscaler.period = 50 * kMillisecond;
+    ec.autoscaler.warmup.registrationDelay = 40 * kMillisecond;
+    ec.autoscaler.warmup.coldWindow = 80 * kMillisecond;
+    ec.autoscaler.scaleOutCooldown = 50 * kMillisecond;
+    ec.autoscaler.scaleInCooldown = 100 * kMillisecond;
+    ec.autoscaler.maxReplicas = 3;
+    const RunResult r = autoscale::runElastic(ec);
+    checkGolden("elastic_spike.json", resultJson(r));
+}
+
+/**
+ * Two small8 nodes with a 2-shard, R=2 quorum-replicated data tier,
+ * drained at the end: covers runScaleout's harvest hook and the
+ * post-drain replication verification that patches the result.
+ */
+TEST(Golden, ClusterQuorumDrained)
+{
+    cluster::ClusterParams params;
+    params.nodes = 2;
+    params.nodeMachine = topo::small8();
+    cluster::applyFabricPreset(params, "lan");
+    params.shards = 2;
+    params.replication.factor = 2;
+    ExperimentConfig c = baseConfig();
+    c.drainAtEnd = true;
+    const RunResult r = cluster::runScaleout(c, params);
+    checkGolden("cluster_quorum_drained.json", resultJson(r));
+}
+
+/** The hedged socialnet world with full tracing: the trace harvest
+ * rooted at the socialnet frontend. */
+TEST(Golden, SocialnetTraced)
+{
+    ExperimentConfig c;
+    c.machine = topo::rome128();
+    c.openLoopRps = 1200.0;
+    c.warmup = 100 * kMillisecond;
+    c.measure = 300 * kMillisecond;
+    c.trace.enabled = true;
+    c.trace.sampleRate = 1.0;
+    socialnet::RunOptions opts;
+    opts.app.depth = 4;
+    opts.app.fanWidth = 4;
+    opts.stragglerFactor = 10.0;
+    opts.hedge = true;
+    opts.hedgeDelay = 1200 * kMicrosecond;
+    opts.hedgeBudget = 0.5;
+    const RunResult r = socialnet::runSocialnet(c, opts);
+    checkGolden("socialnet_traced.json", resultJson(r));
 }
 
 } // namespace
