@@ -1,14 +1,14 @@
 #include "apps/socialnet/runner.hh"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "base/logging.hh"
-#include "cpu/exec.hh"
-#include "sim/simulation.hh"
+#include "core/world.hh"
 
 namespace microscale::socialnet
 {
@@ -16,33 +16,7 @@ namespace microscale::socialnet
 namespace
 {
 
-core::OpLatency
-summarizeHistogram(const QuantileHistogram &h)
-{
-    core::OpLatency l;
-    l.count = h.count();
-    l.meanMs = h.mean() / static_cast<double>(kMillisecond);
-    l.p50Ms = h.p50() / static_cast<double>(kMillisecond);
-    l.p95Ms = h.p95() / static_cast<double>(kMillisecond);
-    l.p99Ms = h.p99() / static_cast<double>(kMillisecond);
-    return l;
-}
-
-os::SchedStats
-schedDelta(const os::SchedStats &end, const os::SchedStats &start)
-{
-    os::SchedStats d;
-    d.wakeups = end.wakeups - start.wakeups;
-    d.contextSwitches = end.contextSwitches - start.contextSwitches;
-    d.preemptions = end.preemptions - start.preemptions;
-    d.migrations = end.migrations - start.migrations;
-    d.ccxMigrations = end.ccxMigrations - start.ccxMigrations;
-    d.balancePulls = end.balancePulls - start.balancePulls;
-    d.newIdlePulls = end.newIdlePulls - start.newIdlePulls;
-    return d;
-}
-
-/** Open-loop measurement state shared with the event closures. */
+/** Arrival-process state shared with the event closures. */
 struct LoadState
 {
     explicit LoadState(std::uint64_t seed) : rng(seed, "socialnet.load")
@@ -51,14 +25,6 @@ struct LoadState
 
     Rng rng;
     bool stopped = false;
-    Tick winStart = 0;
-    Tick winEnd = 0;
-    QuantileHistogram latency;
-    std::array<QuantileHistogram, kNumOps> perOp;
-    std::array<std::uint64_t, svc::kNumStatuses> statusCounts{};
-    std::uint64_t completed = 0;
-    std::uint64_t okCount = 0;
-    std::uint64_t errors = 0;
 };
 
 } // namespace
@@ -69,18 +35,15 @@ runSocialnet(const core::ExperimentConfig &config, const RunOptions &opts)
     if (config.openLoopRps <= 0.0)
         fatal("socialnet runner requires open-loop load "
               "(config.openLoopRps > 0)");
-
-    sim::Simulation sim;
-    topo::Machine machine(config.machine);
-    cpu::ExecEngine engine(sim, machine);
-    os::Kernel kernel(sim, machine, engine, config.sched, config.seed);
-    net::Network network(sim, config.net, config.seed);
-    svc::Mesh mesh(kernel, network, config.rpc, config.seed);
+    if (config.cores != 0 || !config.smt)
+        fatal("socialnet runs on the whole machine; a CPU budget "
+              "(cores/smt) is not supported");
 
     // Base policy from the config, plus hedging on the wide fan-out
     // edges: the timeline mget legs are idempotent reads, the textbook
     // hedge candidates.
-    svc::ResilienceConfig rc = config.resilience;
+    core::ExperimentConfig world_config = config;
+    svc::ResilienceConfig &rc = world_config.resilience;
     if (opts.hedge) {
         rc.hedgeBudgetRatio = opts.hedgeBudget;
         svc::EdgePolicy hp;
@@ -92,185 +55,67 @@ runSocialnet(const core::ExperimentConfig &config, const RunOptions &opts)
         rc.edges.push_back(
             {names::kUserTimeline, names::kPostStorage, hp});
     }
-    mesh.setResilience(rc);
-    mesh.setOverload(config.overload);
-    mesh.setTrace(config.trace);
-
-    App app(mesh, opts.app, config.seed);
+    // Declared before the world: responses may still be pending in the
+    // mesh when it is destroyed.
+    loadgen::Measurement measurement(kNumOps);
+    measurement.setWindow(config.warmup, config.warmup + config.measure);
+    core::World world(world_config);
+    App app(world.mesh, opts.app, config.seed);
 
     // Plant the gray straggler in the fan-out tier: the last
     // post-storage replica computes slower but keeps answering, so
     // round-robin keeps routing ~1/replicas of the mget legs into it.
     if (opts.stragglerFactor > 1.0 && opts.app.storage.replicas >= 2) {
-        mesh.service(names::kPostStorage)
+        world.mesh.service(names::kPostStorage)
             .setReplicaSlow(opts.app.storage.replicas - 1,
                             opts.stragglerFactor);
     }
 
     auto state = std::make_shared<LoadState>(config.seed);
-    state->winStart = config.warmup;
-    state->winEnd = config.warmup + config.measure;
     const double mean_gap_ns =
         static_cast<double>(kSecond) / config.openLoopRps;
 
-    // Self-scheduling Poisson arrivals; the closure lives in `arrive`
-    // (outlives the simulation, destroyed after it).
+    // Self-scheduling Poisson arrivals; the closure lives in `arrive`,
+    // which is destroyed before the world (its pending events never
+    // run).
     auto arrive = std::make_shared<std::function<void()>>();
-    *arrive = [state, &sim, &mesh, &app, mean_gap_ns,
+    *arrive = [state, &world, &app, &measurement, mean_gap_ns,
                ap = arrive.get()]() {
         if (state->stopped)
             return;
         const OpType op = app.sampleOp(state->rng);
         svc::Payload req = app.sampleRequest(op, state->rng);
-        const Tick t0 = sim.now();
-        mesh.callExternalS(
+        const Tick t0 = world.sim.now();
+        world.mesh.callExternalS(
             names::kFrontend, opName(op), std::move(req),
-            [state, &sim, t0, op](const svc::Payload &, svc::Status st) {
-                const Tick done = sim.now();
-                if (done < state->winStart || done >= state->winEnd)
-                    return;
-                ++state->completed;
-                ++state->statusCounts[svc::statusIndex(st)];
-                if (st == svc::Status::Ok) {
-                    ++state->okCount;
-                    const double ns = static_cast<double>(done - t0);
-                    state->latency.add(ns);
-                    state->perOp[static_cast<unsigned>(op)].add(ns);
-                } else {
-                    ++state->errors;
-                }
+            [&world, &measurement, t0, op](const svc::Payload &,
+                                           svc::Status st) {
+                measurement.record(static_cast<unsigned>(op), t0,
+                                   world.sim.now(), st, false);
             });
         const double gap = state->rng.exponential(mean_gap_ns);
-        sim.scheduleAfter(
+        world.sim.scheduleAfter(
             std::max<Tick>(1, static_cast<Tick>(std::llround(gap))),
             [ap] { (*ap)(); });
     };
 
-    kernel.start();
+    world.kernel.start();
     app.start();
-    sim.scheduleAfter(1, [ap = arrive.get()] { (*ap)(); });
-
-    // Warmup, then snapshot everything (same protocol as the TeaStore
-    // runner: per-op histograms restart at the window).
-    sim.runUntil(config.warmup);
-    engine.bankAll();
-    std::map<std::string, cpu::PerfCounters> at_warmup;
-    for (svc::Service *s : app.services())
-        at_warmup[s->name()] = s->aggregateCounters();
-    const os::SchedStats sched_at_warmup = kernel.stats();
-    const std::vector<double> busy_at_warmup = engine.cpuBusySnapshot();
-    for (svc::Service *s : app.services())
-        s->resetStats();
-
-    sim.runUntil(config.warmup + config.measure);
-    engine.bankAll();
-    state->stopped = true;
-
-    const double measure_s = ticksToSeconds(config.measure);
+    world.sim.scheduleAfter(1, [ap = arrive.get()] { (*ap)(); });
 
     core::RunResult result;
-    result.eventsProcessed = sim.eventsProcessed();
-    const CpuMask budget =
-        core::budgetMask(machine, config.cores, config.smt);
-    result.budgetCpus = budget.count();
+    world.runWindows(app.services(), result);
+    state->stopped = true;
 
-    result.throughputRps =
-        static_cast<double>(state->completed) / measure_s;
-    result.latency = summarizeHistogram(state->latency);
-    for (OpType op : allOps()) {
-        result.perOp[opName(op)] = summarizeHistogram(
-            state->perOp[static_cast<unsigned>(op)]);
-    }
-
-    cpu::PerfCounters total;
-    for (svc::Service *s : app.services()) {
-        const cpu::PerfCounters delta =
-            s->aggregateCounters().delta(at_warmup[s->name()]);
-        result.servicePerf[s->name()] =
-            perf::makeRow(s->name(), delta, config.measure);
-        total.merge(delta);
-    }
-    result.total = perf::makeRow("total", total, config.measure);
-    result.sched = schedDelta(kernel.stats(), sched_at_warmup);
-    result.avgFreqGhz = total.ghz();
-
-    constexpr double kMs = static_cast<double>(kMillisecond);
-    for (svc::Service *s : app.services()) {
-        for (const auto &[op, stats] : s->opStats()) {
-            core::OpBreakdown b;
-            b.count = stats.requests;
-            b.serviceTimeMeanMs = stats.serviceTimeNs.mean() / kMs;
-            b.queueWaitMeanMs = stats.queueWaitNs.mean() / kMs;
-            b.computeMeanMs = stats.computeNs.mean() / kMs;
-            b.stallMeanMs = stats.stallNs.mean() / kMs;
-            b.serviceTimeP99Ms = stats.serviceTimeNs.p99() / kMs;
-            b.okCount =
-                stats.statusCounts[svc::statusIndex(svc::Status::Ok)];
-            b.timeoutCount = stats.statusCounts[svc::statusIndex(
-                svc::Status::Timeout)];
-            b.overloadCount = stats.statusCounts[svc::statusIndex(
-                svc::Status::Overload)];
-            b.unavailableCount = stats.statusCounts[svc::statusIndex(
-                svc::Status::Unavailable)];
-            result.breakdown[s->name()][op] = b;
-        }
-    }
+    std::vector<std::string> op_names;
+    for (OpType op : allOps())
+        op_names.push_back(opName(op));
+    core::harvestLoad(measurement, op_names, result);
+    result.resilience.active = rc.active();
+    core::harvestTrace(world_config, world.mesh, names::kFrontend, result);
 
     {
-        core::ResilienceSummary &rs = result.resilience;
-        rs.active = rc.active();
-        rs.goodputRps = static_cast<double>(state->okCount) / measure_s;
-        rs.okCount = state->statusCounts[svc::statusIndex(
-            svc::Status::Ok)];
-        rs.timeoutCount = state->statusCounts[svc::statusIndex(
-            svc::Status::Timeout)];
-        rs.overloadCount = state->statusCounts[svc::statusIndex(
-            svc::Status::Overload)];
-        rs.unavailableCount = state->statusCounts[svc::statusIndex(
-            svc::Status::Unavailable)];
-        rs.rejectedCount = state->statusCounts[svc::statusIndex(
-            svc::Status::Rejected)];
-        rs.errorRate = state->completed > 0
-                           ? static_cast<double>(state->errors) /
-                                 static_cast<double>(state->completed)
-                           : 0.0;
-        rs.retries = mesh.retryStats().retries;
-        rs.retriesDenied = mesh.retryStats().budgetDenied;
-        rs.clientTimeouts = mesh.retryStats().clientTimeouts;
-        for (svc::Service *s : app.services()) {
-            const svc::ResilienceCounters &c = s->resilienceCounters();
-            rs.shed += c.shed;
-            rs.deadlineDrops += c.deadlineDrops;
-            rs.breakerOpens += c.breakerOpens;
-        }
-    }
-
-    {
-        // Trace attribution rooted at the socialnet frontend — the
-        // core harvest is TeaStore-rooted, so the app brings its own.
-        core::TraceSummary &tr = result.trace;
-        const std::shared_ptr<trace::TraceStore> &store =
-            mesh.traceStore();
-        tr.active = static_cast<bool>(store);
-        if (tr.active) {
-            tr.sampleRate = config.trace.sampleRate;
-            tr.rootsSeen = store->rootsSeen();
-            tr.tracesSampled = store->traces().size();
-            tr.spanCount = store->spanCount();
-            tr.attribution = trace::attributeTraces(
-                *store, names::kFrontend, config.warmup,
-                config.warmup + config.measure);
-            tr.tracesAnalyzed = tr.attribution.traces;
-            tr.meanE2eMs =
-                tr.tracesAnalyzed
-                    ? tr.attribution.e2eNs /
-                          (static_cast<double>(tr.tracesAnalyzed) * kMs)
-                    : 0.0;
-            tr.store = store;
-        }
-    }
-
-    {
+        constexpr double kMs = static_cast<double>(kMillisecond);
         core::FanoutSummary &fo = result.fanout;
         fo.active = true;
         fo.app = "socialnet";
@@ -281,7 +126,7 @@ runSocialnet(const core::ExperimentConfig &config, const RunOptions &opts)
         fo.hedgeDelayMs = static_cast<double>(opts.hedgeDelay) / kMs;
         fo.hedgeQuantile = opts.hedgeQuantile;
         fo.hedgeBudgetRatio = opts.hedge ? opts.hedgeBudget : 0.0;
-        const svc::HedgeStats &hs = mesh.hedgeStats();
+        const svc::HedgeStats &hs = world.mesh.hedgeStats();
         fo.firstAttempts = hs.firstAttempts;
         fo.hedgesLaunched = hs.launched;
         fo.hedgeWins = hs.wins;
@@ -295,24 +140,16 @@ runSocialnet(const core::ExperimentConfig &config, const RunOptions &opts)
         // Tail amplification is read off the fan-out read path, not
         // the overall mix: the write/compose ops have their own
         // latency modes that would mask the synchronization tail.
-        const QuantileHistogram &read =
-            state->perOp[static_cast<unsigned>(OpType::ReadHome)];
+        const QuantileHistogram &read = measurement.latencyNsFor(
+            static_cast<unsigned>(OpType::ReadHome));
         fo.p50Ms = read.p50() / kMs;
         fo.p99Ms = read.p99() / kMs;
         fo.amplification =
             fo.p50Ms > 0.0 ? fo.p99Ms / fo.p50Ms : 0.0;
     }
 
-    const std::vector<double> busy_at_end = engine.cpuBusySnapshot();
-    double busy = 0.0;
-    for (CpuId c : budget)
-        busy += busy_at_end[c] - busy_at_warmup[c];
-    result.cpuUtilization =
-        busy / (static_cast<double>(budget.count()) *
-                static_cast<double>(config.measure));
-
     app.stop();
-    kernel.stop();
+    world.kernel.stop();
     return result;
 }
 

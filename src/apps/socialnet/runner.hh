@@ -2,13 +2,12 @@
  * @file
  * End-to-end runner for the socialnet application graph.
  *
- * The TeaStore runner (core::runExperiment) is wired to the
- * TeaStore-typed load generator and demand model; socialnet brings its
- * own open-loop Poisson driver on dedicated RNG streams and fills the
- * same RunResult shape, including the trace attribution (rooted at the
- * socialnet frontend) and the `fanout` summary block. That keeps every
- * lower layer — mesh, overload, tracing, the JSON schema — shared
- * between the two apps without the core runner learning app names.
+ * The stack, the window protocol and the shared harvest come from
+ * core::World, core::harvestLoad and core::harvestTrace (rooted at the
+ * socialnet frontend). What stays app-specific here: the hedge edges
+ * added to the mesh policy, the gray straggler, the open-loop Poisson
+ * arrivals on the dedicated "socialnet.load" stream, and the `fanout`
+ * summary block. The TeaStore runner never learns socialnet's names.
  */
 
 #ifndef MICROSCALE_APPS_SOCIALNET_RUNNER_HH
@@ -48,7 +47,9 @@ struct RunOptions
  * Run the socialnet graph under open-loop Poisson load. Uses
  * config.machine/seed/warmup/measure/openLoopRps/net/rpc/sched/trace
  * and config.resilience as the base mesh policy (hedge edges are
- * appended per `opts`); fatal() when config.openLoopRps <= 0.
+ * appended per `opts`). The graph spreads over the whole machine:
+ * fatal() when config.openLoopRps <= 0 or the config asks for a CPU
+ * budget (cores != 0 or smt off).
  */
 core::RunResult runSocialnet(const core::ExperimentConfig &config,
                              const RunOptions &opts);

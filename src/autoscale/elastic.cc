@@ -1,46 +1,12 @@
 #include "autoscale/elastic.hh"
 
-#include <map>
 #include <memory>
-#include <vector>
 
 #include "base/logging.hh"
-#include "cpu/exec.hh"
-#include "sim/simulation.hh"
+#include "core/world.hh"
 
 namespace microscale::autoscale
 {
-
-namespace
-{
-
-core::OpLatency
-summarizeHistogram(const QuantileHistogram &h)
-{
-    core::OpLatency l;
-    l.count = h.count();
-    l.meanMs = h.mean() / static_cast<double>(kMillisecond);
-    l.p50Ms = h.p50() / static_cast<double>(kMillisecond);
-    l.p95Ms = h.p95() / static_cast<double>(kMillisecond);
-    l.p99Ms = h.p99() / static_cast<double>(kMillisecond);
-    return l;
-}
-
-os::SchedStats
-schedDelta(const os::SchedStats &end, const os::SchedStats &start)
-{
-    os::SchedStats d;
-    d.wakeups = end.wakeups - start.wakeups;
-    d.contextSwitches = end.contextSwitches - start.contextSwitches;
-    d.preemptions = end.preemptions - start.preemptions;
-    d.migrations = end.migrations - start.migrations;
-    d.ccxMigrations = end.ccxMigrations - start.ccxMigrations;
-    d.balancePulls = end.balancePulls - start.balancePulls;
-    d.newIdlePulls = end.newIdlePulls - start.newIdlePulls;
-    return d;
-}
-
-} // namespace
 
 loadgen::LoadSchedule
 makeSchedule(const std::string &name, double baseRps, double peakRps,
@@ -69,32 +35,20 @@ runElastic(const ElasticConfig &config, AutoscalerTelemetry *telemetryOut)
         fatal("runElastic needs a non-empty load schedule");
     const core::ExperimentConfig &base = config.base;
 
-    // World composition mirrors core::runExperiment.
-    sim::Simulation sim;
-    topo::Machine machine(base.machine);
-    cpu::ExecEngine engine(sim, machine);
-    os::Kernel kernel(sim, machine, engine, base.sched, base.seed);
-    net::Network network(sim, base.net, base.seed);
-    svc::Mesh mesh(kernel, network, base.rpc, base.seed);
-    mesh.setResilience(base.resilience);
-    mesh.setOverload(base.overload);
-    mesh.setTrace(base.trace);
-
-    const CpuMask budget =
-        core::budgetMask(machine, base.cores, base.smt);
-    CpuMask initial_budget = budget;
+    core::World world(base);
+    CpuMask initial_budget = world.budget;
     if (config.initialCores != 0)
         initial_budget =
-            core::budgetMask(machine, config.initialCores, base.smt);
-    if (!initial_budget.subsetOf(budget))
+            core::budgetMask(world.machine, config.initialCores, base.smt);
+    if (!initial_budget.subsetOf(world.budget))
         fatal("runElastic: initialCores exceeds the CPU budget");
     core::PlacementPlan plan = core::buildPlacement(
-        base.placement, machine, initial_budget, base.demand,
+        base.placement, world.machine, initial_budget, base.demand,
         base.sizing);
 
     teastore::AppParams app_params = base.app;
     core::sizeAppFromPlan(app_params, plan);
-    teastore::App app(mesh, app_params, base.seed);
+    teastore::App app(world.mesh, app_params, base.seed);
     core::applyPlacement(app, plan);
 
     std::unique_ptr<svc::BrownoutController> brownout;
@@ -109,14 +63,15 @@ runElastic(const ElasticConfig &config, AutoscalerTelemetry *telemetryOut)
     std::unique_ptr<svc::FaultInjector> injector;
     if (!base.faults.empty()) {
         injector =
-            std::make_unique<svc::FaultInjector>(mesh, base.faults);
+            std::make_unique<svc::FaultInjector>(world.mesh, base.faults);
         injector->arm();
     }
 
     AutoscalerParams as_params = config.autoscaler;
     if (!config.autoscale)
         as_params.policy = PolicyKind::Static;
-    Autoscaler autoscaler(app, machine, budget, plan, as_params);
+    Autoscaler autoscaler(app, world.machine, world.budget, plan,
+                          as_params);
     autoscaler.setAccountingWindow(base.warmup,
                                    base.warmup + base.measure);
     autoscaler.recordTimeline(config.recordTimeline);
@@ -127,123 +82,26 @@ runElastic(const ElasticConfig &config, AutoscalerTelemetry *telemetryOut)
     loadgen::Measurement &measurement = driver.measurement();
     measurement.setWindow(base.warmup, base.warmup + base.measure);
 
-    kernel.start();
+    world.kernel.start();
     app.start();
     if (brownout)
         brownout->start();
     autoscaler.start();
     driver.start();
 
-    // Warmup, then snapshot everything (same sequence as
-    // runExperiment so results are comparable).
-    sim.runUntil(base.warmup);
-    engine.bankAll();
-    std::map<std::string, cpu::PerfCounters> at_warmup;
-    for (svc::Service *s : app.services())
-        at_warmup[s->name()] = s->aggregateCounters();
-    const os::SchedStats sched_at_warmup = kernel.stats();
-    const std::vector<double> busy_at_warmup = engine.cpuBusySnapshot();
-    for (svc::Service *s : app.services())
-        s->resetStats();
-
-    sim.runUntil(base.warmup + base.measure);
-    engine.bankAll();
-
     core::RunResult result;
     result.plan = plan;
-    result.budgetCpus = budget.count();
-    result.eventsProcessed = sim.eventsProcessed();
-
-    result.throughputRps = measurement.throughputRps();
-    result.latency = summarizeHistogram(measurement.latencyNs());
-    for (teastore::OpType op : teastore::allOps()) {
-        result.perOp[teastore::opName(op)] =
-            summarizeHistogram(measurement.latencyNsFor(op));
-    }
-
-    cpu::PerfCounters total;
-    for (svc::Service *s : app.services()) {
-        const cpu::PerfCounters delta =
-            s->aggregateCounters().delta(at_warmup[s->name()]);
-        result.servicePerf[s->name()] =
-            perf::makeRow(s->name(), delta, base.measure);
-        total.merge(delta);
-    }
-    result.total = perf::makeRow("total", total, base.measure);
-    result.sched = schedDelta(kernel.stats(), sched_at_warmup);
-    result.avgFreqGhz = total.ghz();
-
-    constexpr double kMs = static_cast<double>(kMillisecond);
-    for (svc::Service *s : app.services()) {
-        for (const auto &[op, stats] : s->opStats()) {
-            core::OpBreakdown b;
-            b.count = stats.requests;
-            b.serviceTimeMeanMs = stats.serviceTimeNs.mean() / kMs;
-            b.queueWaitMeanMs = stats.queueWaitNs.mean() / kMs;
-            b.computeMeanMs = stats.computeNs.mean() / kMs;
-            b.stallMeanMs = stats.stallNs.mean() / kMs;
-            b.serviceTimeP99Ms = stats.serviceTimeNs.p99() / kMs;
-            b.okCount =
-                stats.statusCounts[svc::statusIndex(svc::Status::Ok)];
-            b.timeoutCount = stats.statusCounts[svc::statusIndex(
-                svc::Status::Timeout)];
-            b.overloadCount = stats.statusCounts[svc::statusIndex(
-                svc::Status::Overload)];
-            b.unavailableCount = stats.statusCounts[svc::statusIndex(
-                svc::Status::Unavailable)];
-            result.breakdown[s->name()][op] = b;
-        }
-    }
-
-    {
-        core::ResilienceSummary &rs = result.resilience;
-        rs.active = base.resilience.active() || !base.faults.empty() ||
-                    app_params.degradedFallbacks ||
-                    base.overload.active();
-        rs.goodputRps = measurement.goodputRps();
-        const std::uint64_t completed = measurement.completed();
-        rs.okCount = measurement.statusCount(svc::Status::Ok);
-        rs.timeoutCount = measurement.statusCount(svc::Status::Timeout);
-        rs.overloadCount =
-            measurement.statusCount(svc::Status::Overload);
-        rs.unavailableCount =
-            measurement.statusCount(svc::Status::Unavailable);
-        rs.rejectedCount = measurement.statusCount(svc::Status::Rejected);
-        rs.degradedCount = measurement.degradedCount();
-        rs.errorRate =
-            completed > 0
-                ? static_cast<double>(measurement.errorCount()) /
-                      static_cast<double>(completed)
-                : 0.0;
-        rs.degradedShare =
-            rs.okCount > 0 ? static_cast<double>(rs.degradedCount) /
-                                 static_cast<double>(rs.okCount)
-                           : 0.0;
-        rs.retries = mesh.retryStats().retries;
-        rs.retriesDenied = mesh.retryStats().budgetDenied;
-        rs.clientTimeouts = mesh.retryStats().clientTimeouts;
-        for (svc::Service *s : app.services()) {
-            const svc::ResilienceCounters &c = s->resilienceCounters();
-            rs.shed += c.shed;
-            rs.deadlineDrops += c.deadlineDrops;
-            rs.breakerOpens += c.breakerOpens;
-        }
-    }
-
+    world.runWindows(app.services(), result);
+    core::harvestLoad(measurement, core::teastoreOpNames(), result);
+    result.resilience.active =
+        base.resilience.active() || !base.faults.empty() ||
+        app_params.degradedFallbacks || base.overload.active();
     core::harvestOverload(base, app, measurement, brownout.get(),
                           result);
-    core::harvestTrace(base, mesh, base.warmup,
-                       base.warmup + base.measure, result);
+    core::harvestTrace(base, world.mesh, teastore::names::kWebui, result);
+    core::harvestGrayFail(base, app, world.network, injector.get(),
+                          result);
 
-    const std::vector<double> busy_at_end = engine.cpuBusySnapshot();
-    double busy = 0.0;
-    for (CpuId c : budget)
-        busy += busy_at_end[c] - busy_at_warmup[c];
-    result.cpuUtilization =
-        busy / (static_cast<double>(budget.count()) *
-                static_cast<double>(base.measure));
-
-    // The elastic summary on top of the standard harvest.
     {
         const AutoscalerTelemetry &t = autoscaler.telemetry();
         core::ElasticSummary &es = result.elastic;
@@ -279,7 +137,7 @@ runElastic(const ElasticConfig &config, AutoscalerTelemetry *telemetryOut)
         brownout->stop();
     }
     app.stop();
-    kernel.stop();
+    world.kernel.stop();
     return result;
 }
 

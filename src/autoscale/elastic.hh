@@ -2,18 +2,17 @@
  * @file
  * runElastic: one end-to-end elasticity run.
  *
- * Composes the same world as core::runExperiment - machine, kernel,
- * mesh, TeaStore app, placement - then adds the elasticity pieces: an
- * open-loop driver following a LoadSchedule (non-homogeneous Poisson
- * arrivals) and an Autoscaler control loop actuating the Service
- * elasticity hooks. The harvest mirrors runExperiment so results are
- * directly comparable; on top it fills RunResult::elastic with the
- * FIG-13 metrics (SLO-violation seconds, core-seconds granted,
- * scale-out lag, peak replicas).
+ * Builds a core::World with the TeaStore app and placement, then adds
+ * the elasticity pieces: an open-loop driver following a LoadSchedule
+ * (non-homogeneous Poisson arrivals) and an Autoscaler control loop
+ * actuating the Service elasticity hooks. The window protocol and the
+ * shared harvest are the World's and the TeaStore runner helpers', so
+ * results are directly comparable with runExperiment; on top it fills
+ * RunResult::elastic with the FIG-13 metrics (SLO-violation seconds,
+ * core-seconds granted, scale-out lag, peak replicas).
  *
  * Lives in src/autoscale (not core) so core never depends on the
- * autoscaler; the composition/harvest sequence intentionally mirrors
- * core/experiment.cc - keep the two in sync.
+ * autoscaler.
  */
 
 #ifndef MICROSCALE_AUTOSCALE_ELASTIC_HH

@@ -5,66 +5,24 @@
 #include <vector>
 
 #include "base/logging.hh"
-#include "cpu/exec.hh"
-#include "sim/simulation.hh"
+#include "core/world.hh"
 
 namespace microscale::core
 {
 
-namespace
-{
-
-OpLatency
-summarizeHistogram(const QuantileHistogram &h)
-{
-    OpLatency l;
-    l.count = h.count();
-    l.meanMs = h.mean() / static_cast<double>(kMillisecond);
-    l.p50Ms = h.p50() / static_cast<double>(kMillisecond);
-    l.p95Ms = h.p95() / static_cast<double>(kMillisecond);
-    l.p99Ms = h.p99() / static_cast<double>(kMillisecond);
-    return l;
-}
-
-os::SchedStats
-schedDelta(const os::SchedStats &end, const os::SchedStats &start)
-{
-    os::SchedStats d;
-    d.wakeups = end.wakeups - start.wakeups;
-    d.contextSwitches = end.contextSwitches - start.contextSwitches;
-    d.preemptions = end.preemptions - start.preemptions;
-    d.migrations = end.migrations - start.migrations;
-    d.ccxMigrations = end.ccxMigrations - start.ccxMigrations;
-    d.balancePulls = end.balancePulls - start.balancePulls;
-    d.newIdlePulls = end.newIdlePulls - start.newIdlePulls;
-    return d;
-}
-
-} // namespace
-
 RunResult
 runExperiment(const ExperimentConfig &config)
 {
-    sim::Simulation sim;
-    topo::Machine machine(config.machine);
-    cpu::ExecEngine engine(sim, machine);
-    os::Kernel kernel(sim, machine, engine, config.sched, config.seed);
-    net::Network network(sim, config.net, config.seed);
-    svc::Mesh mesh(kernel, network, config.rpc, config.seed);
-    mesh.setResilience(config.resilience);
-    mesh.setOverload(config.overload);
-    mesh.setTrace(config.trace);
-
-    const CpuMask budget = budgetMask(machine, config.cores, config.smt);
+    World world(config);
     PlacementPlan plan =
         config.planOverride
-            ? config.planOverride(machine, budget)
-            : buildPlacement(config.placement, machine, budget,
-                             config.demand, config.sizing);
+            ? config.planOverride(world.machine, world.budget)
+            : buildPlacement(config.placement, world.machine,
+                             world.budget, config.demand, config.sizing);
 
     teastore::AppParams app_params = config.app;
     sizeAppFromPlan(app_params, plan);
-    teastore::App app(mesh, app_params, config.seed);
+    teastore::App app(world.mesh, app_params, config.seed);
     applyPlacement(app, plan);
 
     std::unique_ptr<svc::BrownoutController> brownout;
@@ -80,12 +38,12 @@ runExperiment(const ExperimentConfig &config)
     // scaler) happens before the fault injector arms so cluster fault
     // scripts validate against the full service registry.
     if (config.postBuild)
-        config.postBuild(sim, mesh, app);
+        config.postBuild(world.sim, world.mesh, app);
 
     std::unique_ptr<svc::FaultInjector> injector;
     if (!config.faults.empty()) {
         injector =
-            std::make_unique<svc::FaultInjector>(mesh, config.faults);
+            std::make_unique<svc::FaultInjector>(world.mesh, config.faults);
         injector->arm();
     }
 
@@ -110,7 +68,7 @@ runExperiment(const ExperimentConfig &config)
     }
     measurement->setWindow(config.warmup, config.warmup + config.measure);
 
-    kernel.start();
+    world.kernel.start();
     app.start();
     if (brownout)
         brownout->start();
@@ -119,157 +77,19 @@ runExperiment(const ExperimentConfig &config)
     else
         open->start();
 
-    // Warmup, then snapshot everything.
-    sim.runUntil(config.warmup);
-    engine.bankAll();
-    std::map<std::string, cpu::PerfCounters> at_warmup;
-    for (svc::Service *s : app.services())
-        at_warmup[s->name()] = s->aggregateCounters();
-    const os::SchedStats sched_at_warmup = kernel.stats();
-    const std::vector<double> busy_at_warmup = engine.cpuBusySnapshot();
-    // Per-op histograms restart at the window so breakdowns are clean.
-    for (svc::Service *s : app.services())
-        s->resetStats();
-
-    // Measurement window.
-    sim.runUntil(config.warmup + config.measure);
-    engine.bankAll();
-
     RunResult result;
     result.plan = plan;
-    result.budgetCpus = budget.count();
-    result.eventsProcessed = sim.eventsProcessed();
-
-    result.throughputRps = measurement->throughputRps();
-    result.latency = summarizeHistogram(measurement->latencyNs());
-    for (teastore::OpType op : teastore::allOps()) {
-        result.perOp[teastore::opName(op)] =
-            summarizeHistogram(measurement->latencyNsFor(op));
-    }
-
-    cpu::PerfCounters total;
-    for (svc::Service *s : app.services()) {
-        const cpu::PerfCounters delta =
-            s->aggregateCounters().delta(at_warmup[s->name()]);
-        result.servicePerf[s->name()] =
-            perf::makeRow(s->name(), delta, config.measure);
-        total.merge(delta);
-    }
-    result.total = perf::makeRow("total", total, config.measure);
-    result.sched = schedDelta(kernel.stats(), sched_at_warmup);
-    result.avgFreqGhz = total.ghz();
-
-    constexpr double kMs = static_cast<double>(kMillisecond);
-    for (svc::Service *s : app.services()) {
-        for (const auto &[op, stats] : s->opStats()) {
-            OpBreakdown b;
-            b.count = stats.requests;
-            b.serviceTimeMeanMs = stats.serviceTimeNs.mean() / kMs;
-            b.queueWaitMeanMs = stats.queueWaitNs.mean() / kMs;
-            b.computeMeanMs = stats.computeNs.mean() / kMs;
-            b.stallMeanMs = stats.stallNs.mean() / kMs;
-            b.serviceTimeP99Ms = stats.serviceTimeNs.p99() / kMs;
-            b.okCount = stats.statusCounts[svc::statusIndex(svc::Status::Ok)];
-            b.timeoutCount =
-                stats.statusCounts[svc::statusIndex(svc::Status::Timeout)];
-            b.overloadCount =
-                stats.statusCounts[svc::statusIndex(svc::Status::Overload)];
-            b.unavailableCount = stats.statusCounts[svc::statusIndex(
-                svc::Status::Unavailable)];
-            result.breakdown[s->name()][op] = b;
-        }
-    }
-
-    {
-        ResilienceSummary &rs = result.resilience;
-        rs.active = config.resilience.active() || !config.faults.empty() ||
-                    app_params.degradedFallbacks ||
-                    config.overload.active();
-        rs.goodputRps = measurement->goodputRps();
-        const std::uint64_t completed = measurement->completed();
-        rs.okCount = measurement->statusCount(svc::Status::Ok);
-        rs.timeoutCount = measurement->statusCount(svc::Status::Timeout);
-        rs.overloadCount = measurement->statusCount(svc::Status::Overload);
-        rs.unavailableCount =
-            measurement->statusCount(svc::Status::Unavailable);
-        rs.rejectedCount = measurement->statusCount(svc::Status::Rejected);
-        rs.degradedCount = measurement->degradedCount();
-        rs.errorRate =
-            completed > 0 ? static_cast<double>(measurement->errorCount()) /
-                                static_cast<double>(completed)
-                          : 0.0;
-        rs.degradedShare =
-            rs.okCount > 0 ? static_cast<double>(rs.degradedCount) /
-                                 static_cast<double>(rs.okCount)
-                           : 0.0;
-        rs.retries = mesh.retryStats().retries;
-        rs.retriesDenied = mesh.retryStats().budgetDenied;
-        rs.clientTimeouts = mesh.retryStats().clientTimeouts;
-        for (svc::Service *s : app.services()) {
-            const svc::ResilienceCounters &c = s->resilienceCounters();
-            rs.shed += c.shed;
-            rs.deadlineDrops += c.deadlineDrops;
-            rs.breakerOpens += c.breakerOpens;
-        }
-    }
-
+    world.runWindows(app.services(), result);
+    harvestLoad(*measurement, teastoreOpNames(), result);
+    result.resilience.active =
+        config.resilience.active() || !config.faults.empty() ||
+        app_params.degradedFallbacks || config.overload.active();
     harvestOverload(config, app, *measurement, brownout.get(), result);
-    harvestTrace(config, mesh, config.warmup,
-                 config.warmup + config.measure, result);
-
-    {
-        GrayFailSummary &gf = result.grayfail;
-        bool gray_script = false;
-        for (const svc::FaultEvent &e : config.faults.events) {
-            switch (e.kind) {
-            case svc::FaultEvent::Kind::ReplicaSlow:
-            case svc::FaultEvent::Kind::PacketLoss:
-            case svc::FaultEvent::Kind::PacketDup:
-            case svc::FaultEvent::Kind::Partition:
-            case svc::FaultEvent::Kind::PartitionHeal:
-            case svc::FaultEvent::Kind::CorrelatedDown:
-            case svc::FaultEvent::Kind::CorrelatedUp:
-            case svc::FaultEvent::Kind::NodeDown:
-            case svc::FaultEvent::Kind::NodeUp:
-            case svc::FaultEvent::Kind::FabricLoss:
-            case svc::FaultEvent::Kind::FabricPartition:
-            case svc::FaultEvent::Kind::FabricHeal:
-                gray_script = true;
-                break;
-            default:
-                break;
-            }
-        }
-        gf.ejectionEnabled = config.resilience.outlier.enabled;
-        gf.active = gf.ejectionEnabled || gray_script;
-        if (gf.active) {
-            for (svc::Service *s : app.services()) {
-                const svc::ResilienceCounters &c = s->resilienceCounters();
-                gf.ejections += c.outlierEjections;
-                gf.unejections += c.outlierUnejections;
-                gf.ejectionsDenied += c.outlierEjectionsDenied;
-                gf.ejectedAtEnd += s->ejectedReplicaCount();
-            }
-            gf.packetsDropped = network.stats().dropped;
-            gf.packetsDuplicated = network.stats().duplicated;
-            gf.packetsBlackholed = network.stats().blackholed;
-            if (injector) {
-                gf.faultsApplied = injector->applied();
-                gf.faultsSkipped = injector->skipped();
-            }
-        }
-    }
-
-    const std::vector<double> busy_at_end = engine.cpuBusySnapshot();
-    double busy = 0.0;
-    for (CpuId c : budget)
-        busy += busy_at_end[c] - busy_at_warmup[c];
-    result.cpuUtilization =
-        busy / (static_cast<double>(budget.count()) *
-                static_cast<double>(config.measure));
+    harvestTrace(config, world.mesh, teastore::names::kWebui, result);
+    harvestGrayFail(config, app, world.network, injector.get(), result);
 
     if (config.harvestExtra)
-        config.harvestExtra(sim, mesh, app, result);
+        config.harvestExtra(world.sim, world.mesh, app, result);
 
     // Optional quiesce: stop the drivers and let in-flight work finish
     // (complete or time out). Every periodic timer in the system is a
@@ -281,9 +101,9 @@ runExperiment(const ExperimentConfig &config)
             closed->stopIssuing();
         if (open)
             open->stopIssuing();
-        sim.run();
+        world.sim.run();
         if (config.postDrain)
-            config.postDrain(sim, mesh, app);
+            config.postDrain(world.sim, world.mesh, app);
     }
 
     // Orderly teardown: stop sources before the world is destroyed.
@@ -296,8 +116,17 @@ runExperiment(const ExperimentConfig &config)
         brownout->stop();
     }
     app.stop();
-    kernel.stop();
+    world.kernel.stop();
     return result;
+}
+
+std::vector<std::string>
+teastoreOpNames()
+{
+    std::vector<std::string> names;
+    for (teastore::OpType op : teastore::allOps())
+        names.push_back(teastore::opName(op));
+    return names;
 }
 
 void
@@ -348,7 +177,7 @@ harvestOverload(const ExperimentConfig &config, teastore::App &app,
 
 void
 harvestTrace(const ExperimentConfig &config, const svc::Mesh &mesh,
-             Tick windowStart, Tick windowEnd, RunResult &result)
+             const std::string &root, RunResult &result)
 {
     TraceSummary &tr = result.trace;
     const std::shared_ptr<trace::TraceStore> &store = mesh.traceStore();
@@ -360,7 +189,7 @@ harvestTrace(const ExperimentConfig &config, const svc::Mesh &mesh,
     tr.tracesSampled = store->traces().size();
     tr.spanCount = store->spanCount();
     tr.attribution = trace::attributeTraces(
-        *store, teastore::names::kWebui, windowStart, windowEnd);
+        *store, root, config.warmup, config.warmup + config.measure);
     tr.tracesAnalyzed = tr.attribution.traces;
     tr.meanE2eMs = tr.tracesAnalyzed
                        ? tr.attribution.e2eNs /
@@ -368,6 +197,53 @@ harvestTrace(const ExperimentConfig &config, const svc::Mesh &mesh,
                               static_cast<double>(kMillisecond))
                        : 0.0;
     tr.store = store;
+}
+
+void
+harvestGrayFail(const ExperimentConfig &config, teastore::App &app,
+                const net::Network &network,
+                const svc::FaultInjector *injector, RunResult &result)
+{
+    GrayFailSummary &gf = result.grayfail;
+    bool gray_script = false;
+    for (const svc::FaultEvent &e : config.faults.events) {
+        switch (e.kind) {
+        case svc::FaultEvent::Kind::ReplicaSlow:
+        case svc::FaultEvent::Kind::PacketLoss:
+        case svc::FaultEvent::Kind::PacketDup:
+        case svc::FaultEvent::Kind::Partition:
+        case svc::FaultEvent::Kind::PartitionHeal:
+        case svc::FaultEvent::Kind::CorrelatedDown:
+        case svc::FaultEvent::Kind::CorrelatedUp:
+        case svc::FaultEvent::Kind::NodeDown:
+        case svc::FaultEvent::Kind::NodeUp:
+        case svc::FaultEvent::Kind::FabricLoss:
+        case svc::FaultEvent::Kind::FabricPartition:
+        case svc::FaultEvent::Kind::FabricHeal:
+            gray_script = true;
+            break;
+        default:
+            break;
+        }
+    }
+    gf.ejectionEnabled = config.resilience.outlier.enabled;
+    gf.active = gf.ejectionEnabled || gray_script;
+    if (!gf.active)
+        return;
+    for (svc::Service *s : app.services()) {
+        const svc::ResilienceCounters &c = s->resilienceCounters();
+        gf.ejections += c.outlierEjections;
+        gf.unejections += c.outlierUnejections;
+        gf.ejectionsDenied += c.outlierEjectionsDenied;
+        gf.ejectedAtEnd += s->ejectedReplicaCount();
+    }
+    gf.packetsDropped = network.stats().dropped;
+    gf.packetsDuplicated = network.stats().duplicated;
+    gf.packetsBlackholed = network.stats().blackholed;
+    if (injector) {
+        gf.faultsApplied = injector->applied();
+        gf.faultsSkipped = injector->skipped();
+    }
 }
 
 DemandShares

@@ -492,10 +492,12 @@ struct RunResult
 /** Run one experiment end to end. */
 RunResult runExperiment(const ExperimentConfig &config);
 
+/** TeaStore op names in op-index order (harvestLoad's opNames). */
+std::vector<std::string> teastoreOpNames();
+
 /**
- * Fill result.overload (and the resilience summary's rejectedCount)
- * from a finished run. Shared by runExperiment and
- * autoscale::runElastic so the two runners stay in sync.
+ * Fill result.overload from a finished run. Shared by runExperiment
+ * and autoscale::runElastic.
  */
 void harvestOverload(const ExperimentConfig &config, teastore::App &app,
                      const loadgen::Measurement &measurement,
@@ -504,11 +506,24 @@ void harvestOverload(const ExperimentConfig &config, teastore::App &app,
 
 /**
  * Fill result.trace from a finished run's mesh: critical-path
- * attribution of sampled root requests completing inside
- * [windowStart, windowEnd). No-op when tracing was off.
+ * attribution of sampled requests rooted at service `root` that
+ * complete inside the config's measurement window. No-op when tracing
+ * was off.
  */
 void harvestTrace(const ExperimentConfig &config, const svc::Mesh &mesh,
-                  Tick windowStart, Tick windowEnd, RunResult &result);
+                  const std::string &root, RunResult &result);
+
+/**
+ * Fill result.grayfail from a finished run: outlier-ejection counters,
+ * network drop/dup/blackhole counts and the fault injector's tallies
+ * (`injector` may be null). Active only when the config enables
+ * ejection or scripts a gray-failure fault kind. Shared by
+ * runExperiment and autoscale::runElastic.
+ */
+void harvestGrayFail(const ExperimentConfig &config, teastore::App &app,
+                     const net::Network &network,
+                     const svc::FaultInjector *injector,
+                     RunResult &result);
 
 /**
  * Measure per-service demand shares with a short OsDefault run of the

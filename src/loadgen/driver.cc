@@ -12,6 +12,11 @@ namespace microscale::loadgen
 
 using teastore::OpType;
 
+Measurement::Measurement(unsigned numOps)
+    : per_op_(numOps), per_op_count_(numOps, 0)
+{
+}
+
 void
 Measurement::setWindow(Tick start, Tick end)
 {
@@ -22,15 +27,17 @@ Measurement::setWindow(Tick start, Tick end)
 }
 
 void
-Measurement::record(OpType op, Tick issued, Tick completed)
+Measurement::record(unsigned op, Tick issued, Tick completed)
 {
     record(op, issued, completed, svc::Status::Ok, false);
 }
 
 void
-Measurement::record(OpType op, Tick issued, Tick completed,
+Measurement::record(unsigned op, Tick issued, Tick completed,
                     svc::Status status, bool degraded)
 {
+    if (op >= per_op_.size())
+        MS_PANIC("measurement op index out of range");
     if (completed < start_ || completed >= end_)
         return;
     ++completed_;
@@ -41,8 +48,8 @@ Measurement::record(OpType op, Tick issued, Tick completed,
         ++degraded_;
     const double lat = static_cast<double>(completed - issued);
     latency_.add(lat);
-    per_op_[static_cast<unsigned>(op)].add(lat);
-    ++per_op_count_[static_cast<unsigned>(op)];
+    per_op_[op].add(lat);
+    ++per_op_count_[op];
 }
 
 double
@@ -218,7 +225,8 @@ ClosedLoopDriver::onFluidResponse(OpType op, Tick issued_at,
                                   svc::Status status, bool degraded)
 {
     auto &sim = app_.mesh().kernel().sim();
-    measurement_.record(op, issued_at, sim.now(), status, degraded);
+    measurement_.record(static_cast<unsigned>(op), issued_at, sim.now(),
+                        status, degraded);
     --fluid_->inflight;
     if (stopped_)
         return;
@@ -275,7 +283,8 @@ ClosedLoopDriver::onResponse(std::size_t user_index, OpType op,
                              bool degraded)
 {
     auto &sim = app_.mesh().kernel().sim();
-    measurement_.record(op, issued_at, sim.now(), status, degraded);
+    measurement_.record(static_cast<unsigned>(op), issued_at, sim.now(),
+                        status, degraded);
     if (stopped_)
         return;
     User &user = *users_[user_index];
@@ -396,7 +405,7 @@ OpenLoopDriver::arrival()
             --in_flight_;
             if (params_.ledger)
                 params_.ledger->close(lid, status);
-            measurement_.record(op, issued_at,
+            measurement_.record(static_cast<unsigned>(op), issued_at,
                                 app_.mesh().kernel().sim().now(),
                                 status, resp.degraded);
         });

@@ -34,10 +34,16 @@ class RequestLedger;
 namespace microscale::loadgen
 {
 
-/** Latency/throughput results collected in the measurement window. */
+/**
+ * Latency/throughput results collected in the measurement window.
+ * Ops are recorded by index (an app's op enum value), below the op
+ * count the measurement was built for.
+ */
 class Measurement
 {
   public:
+    explicit Measurement(unsigned numOps);
+
     /** Define the window [start, end). */
     void setWindow(Tick start, Tick end);
 
@@ -45,14 +51,15 @@ class Measurement
     Tick windowEnd() const { return end_; }
 
     /** Record one successful completed request. */
-    void record(teastore::OpType op, Tick issued, Tick completed);
+    void record(unsigned op, Tick issued, Tick completed);
 
     /**
      * Record one response with its outcome. Latency histograms and
      * per-op counts cover OK responses only; failures contribute to
-     * completed() and the status counters.
+     * completed() and the status counters. Panics when `op` is not
+     * below the constructed op count.
      */
-    void record(teastore::OpType op, Tick issued, Tick completed,
+    void record(unsigned op, Tick issued, Tick completed,
                 svc::Status status, bool degraded);
 
     /** Responses inside the window (any status). */
@@ -80,15 +87,15 @@ class Measurement
     const QuantileHistogram &latencyNs() const { return latency_; }
 
     /** Per-op latency distribution, in ns. */
-    const QuantileHistogram &latencyNsFor(teastore::OpType op) const
+    const QuantileHistogram &latencyNsFor(unsigned op) const
     {
-        return per_op_[static_cast<unsigned>(op)];
+        return per_op_[op];
     }
 
     /** Per-op completion count. */
-    std::uint64_t completedFor(teastore::OpType op) const
+    std::uint64_t completedFor(unsigned op) const
     {
-        return per_op_count_[static_cast<unsigned>(op)];
+        return per_op_count_[op];
     }
 
   private:
@@ -96,8 +103,8 @@ class Measurement
     Tick end_ = kTickNever;
     std::uint64_t completed_ = 0;
     QuantileHistogram latency_;
-    std::array<QuantileHistogram, teastore::kNumOps> per_op_;
-    std::array<std::uint64_t, teastore::kNumOps> per_op_count_{};
+    std::vector<QuantileHistogram> per_op_;
+    std::vector<std::uint64_t> per_op_count_;
     std::array<std::uint64_t, svc::kNumStatuses> status_counts_{};
     std::uint64_t degraded_ = 0;
 };
@@ -245,7 +252,7 @@ class ClosedLoopDriver
     ClosedLoopParams params_;
     std::vector<std::unique_ptr<User>> users_;
     std::unique_ptr<FluidState> fluid_;
-    Measurement measurement_;
+    Measurement measurement_{teastore::kNumOps};
     std::uint64_t issued_ = 0;
     bool stopped_ = false;
     bool started_ = false;
@@ -313,7 +320,7 @@ class OpenLoopDriver
     /** Batched-arrival state (only with params_.batchedArrivals). */
     std::unique_ptr<Rng> gap_rng_;
     std::unique_ptr<SampleBatch> gaps_;
-    Measurement measurement_;
+    Measurement measurement_{teastore::kNumOps};
     std::uint64_t issued_ = 0;
     std::uint64_t in_flight_ = 0;
     bool stopped_ = false;

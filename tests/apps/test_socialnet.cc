@@ -184,5 +184,19 @@ TEST(SocialnetRunner, SameSeedRunsAreIdentical)
     EXPECT_EQ(a.fanout.hedgeWins, b.fanout.hedgeWins);
 }
 
+TEST(SocialnetRunnerDeathTest, RejectsACpuBudget)
+{
+    // The graph spreads over the whole machine, so a budget would make
+    // budgetCpus and cpuUtilization describe CPUs the run never used.
+    core::ExperimentConfig cores = runnerConfig();
+    cores.cores = 2;
+    EXPECT_EXIT(runSocialnet(cores, RunOptions{}),
+                ::testing::ExitedWithCode(1), "whole machine");
+    core::ExperimentConfig no_smt = runnerConfig();
+    no_smt.smt = false;
+    EXPECT_EXIT(runSocialnet(no_smt, RunOptions{}),
+                ::testing::ExitedWithCode(1), "whole machine");
+}
+
 } // namespace
 } // namespace microscale::socialnet

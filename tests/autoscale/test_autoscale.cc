@@ -15,6 +15,7 @@
 #include "autoscale/policy.hh"
 #include "core/json.hh"
 #include "core/sweep.hh"
+#include "teastore/chaos.hh"
 #include "topo/presets.hh"
 
 namespace microscale::autoscale
@@ -300,6 +301,21 @@ TEST(RunElastic, TimelineRecordsEveryControlInterval)
         EXPECT_EQ(interval.front().service, "webui");
         EXPECT_EQ(interval.back().service, "image");
     }
+}
+
+TEST(RunElastic, HarvestsGrayFailures)
+{
+    // msim --schedule spike --faults gray-persistence --eject: the
+    // injector is armed, so the grayfail block must report it.
+    ElasticConfig ec = smokeConfig();
+    ec.base.faults = teastore::makeGrayScript(
+        teastore::GrayScenario::SlowPersistence, ec.base.warmup,
+        ec.base.measure);
+    ec.base.resilience = teastore::ejectionPolicy();
+    const core::RunResult r = runElastic(ec);
+    ASSERT_TRUE(r.grayfail.active);
+    EXPECT_TRUE(r.grayfail.ejectionEnabled);
+    EXPECT_GT(r.grayfail.faultsApplied, 0u);
 }
 
 TEST(RunElastic, DeterministicAcrossRepeatedRuns)

@@ -18,53 +18,57 @@ namespace
 
 using teastore::OpType;
 
+/** TeaStore op indexes, as the drivers record them. */
+constexpr unsigned kHome = static_cast<unsigned>(OpType::Home);
+constexpr unsigned kProduct = static_cast<unsigned>(OpType::Product);
+
 TEST(Measurement, WindowFilters)
 {
-    Measurement m;
+    Measurement m(teastore::kNumOps);
     m.setWindow(100, 200);
-    m.record(OpType::Home, 50, 99);   // before window
-    m.record(OpType::Home, 90, 100);  // at start: counted
-    m.record(OpType::Home, 150, 199); // inside
-    m.record(OpType::Home, 150, 200); // at end: excluded
+    m.record(kHome, 50, 99);   // before window
+    m.record(kHome, 90, 100);  // at start: counted
+    m.record(kHome, 150, 199); // inside
+    m.record(kHome, 150, 200); // at end: excluded
     EXPECT_EQ(m.completed(), 2u);
-    EXPECT_EQ(m.completedFor(OpType::Home), 2u);
-    EXPECT_EQ(m.completedFor(OpType::Product), 0u);
+    EXPECT_EQ(m.completedFor(kHome), 2u);
+    EXPECT_EQ(m.completedFor(kProduct), 0u);
 }
 
 TEST(Measurement, ThroughputUsesWindowLength)
 {
-    Measurement m;
+    Measurement m(teastore::kNumOps);
     m.setWindow(0, kSecond);
     for (int i = 0; i < 500; ++i)
-        m.record(OpType::Home, 0, kMillisecond);
+        m.record(kHome, 0, kMillisecond);
     EXPECT_DOUBLE_EQ(m.throughputRps(), 500.0);
 }
 
 TEST(Measurement, LatencyDistributionPerOp)
 {
-    Measurement m;
+    Measurement m(teastore::kNumOps);
     m.setWindow(0, kSecond);
-    m.record(OpType::Home, 0, 10 * kMillisecond);
-    m.record(OpType::Product, 0, 30 * kMillisecond);
-    EXPECT_NEAR(m.latencyNsFor(OpType::Home).mean(),
+    m.record(kHome, 0, 10 * kMillisecond);
+    m.record(kProduct, 0, 30 * kMillisecond);
+    EXPECT_NEAR(m.latencyNsFor(kHome).mean(),
                 10.0 * kMillisecond, 1.0);
-    EXPECT_NEAR(m.latencyNsFor(OpType::Product).mean(),
+    EXPECT_NEAR(m.latencyNsFor(kProduct).mean(),
                 30.0 * kMillisecond, 1.0);
     EXPECT_EQ(m.latencyNs().count(), 2u);
 }
 
 TEST(Measurement, StatusAccountingSplitsGoodputFromErrors)
 {
-    Measurement m;
+    Measurement m(teastore::kNumOps);
     m.setWindow(0, kSecond);
-    m.record(OpType::Home, 0, kMillisecond, svc::Status::Ok, false);
-    m.record(OpType::Home, 0, 2 * kMillisecond, svc::Status::Ok,
+    m.record(kHome, 0, kMillisecond, svc::Status::Ok, false);
+    m.record(kHome, 0, 2 * kMillisecond, svc::Status::Ok,
              /*degraded=*/true);
-    m.record(OpType::Home, 0, 3 * kMillisecond, svc::Status::Timeout,
+    m.record(kHome, 0, 3 * kMillisecond, svc::Status::Timeout,
              false);
-    m.record(OpType::Product, 0, 4 * kMillisecond,
+    m.record(kProduct, 0, 4 * kMillisecond,
              svc::Status::Unavailable, false);
-    m.record(OpType::Product, 0, 5 * kMillisecond, svc::Status::Overload,
+    m.record(kProduct, 0, 5 * kMillisecond, svc::Status::Overload,
              false);
 
     // Every response counts toward throughput; only OK ones toward
@@ -79,17 +83,50 @@ TEST(Measurement, StatusAccountingSplitsGoodputFromErrors)
     EXPECT_EQ(m.statusCount(svc::Status::Unavailable), 1u);
     EXPECT_EQ(m.degradedCount(), 1u);
     EXPECT_EQ(m.latencyNs().count(), 2u);
-    EXPECT_EQ(m.completedFor(OpType::Home), 2u);
-    EXPECT_EQ(m.completedFor(OpType::Product), 0u);
+    EXPECT_EQ(m.completedFor(kHome), 2u);
+    EXPECT_EQ(m.completedFor(kProduct), 0u);
     // The legacy 3-arg overload means OK and undegraded.
-    m.record(OpType::Home, 0, 6 * kMillisecond);
+    m.record(kHome, 0, 6 * kMillisecond);
     EXPECT_EQ(m.statusCount(svc::Status::Ok), 3u);
     EXPECT_EQ(m.degradedCount(), 1u);
 }
 
+TEST(Measurement, RecordsPerOpForAnyOpCount)
+{
+    // Sized for another app's four ops (socialnet records this way).
+    Measurement m(4);
+    m.setWindow(0, kSecond);
+    m.record(0, 0, 2 * kMillisecond);
+    m.record(3, 0, 6 * kMillisecond);
+    m.record(3, 0, 8 * kMillisecond);
+    m.record(3, 0, 9 * kMillisecond, svc::Status::Timeout, false);
+    m.record(1, 0, 4 * kMillisecond, svc::Status::Ok, /*degraded=*/true);
+    EXPECT_EQ(m.completed(), 5u);
+    EXPECT_EQ(m.completedFor(0), 1u);
+    EXPECT_EQ(m.completedFor(1), 1u);
+    EXPECT_EQ(m.completedFor(2), 0u);
+    EXPECT_EQ(m.completedFor(3), 2u);
+    EXPECT_NEAR(m.latencyNsFor(3).mean(), 7.0 * kMillisecond, 1.0);
+    EXPECT_EQ(m.latencyNsFor(2).count(), 0u);
+    EXPECT_EQ(m.latencyNs().count(), 4u);
+    EXPECT_EQ(m.statusCount(svc::Status::Timeout), 1u);
+    EXPECT_EQ(m.degradedCount(), 1u);
+}
+
+TEST(MeasurementDeathTest, OpAtOrAboveOpCountPanics)
+{
+    Measurement m(4);
+    m.setWindow(0, kSecond);
+    m.record(3, 0, kMillisecond);
+    EXPECT_DEATH(m.record(4, 0, kMillisecond), "op index");
+    EXPECT_DEATH(m.record(7, 0, kMillisecond, svc::Status::Timeout,
+                          false),
+                 "op index");
+}
+
 TEST(MeasurementDeathTest, BadWindowPanics)
 {
-    Measurement m;
+    Measurement m(teastore::kNumOps);
     EXPECT_DEATH(m.setWindow(100, 100), "window");
 }
 

@@ -321,6 +321,9 @@ main(int argc, char **argv)
                   "socialnet runs a fixed open-loop rate");
         if (point.refineRounds != 0)
             fatal("--refine does not apply to --app socialnet");
+        if (config.cores != 0 || !config.smt)
+            fatal("--app socialnet spreads the graph over the whole "
+                  "machine; drop --cores/--no-smt");
         if (config.openLoopRps <= 0.0)
             fatal("--app socialnet is open-loop; add "
                   "--open-loop-rps RATE (e.g. 600)");
