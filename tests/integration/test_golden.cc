@@ -7,10 +7,13 @@
  * captured golden produced by the pre-refactor engine. These pin the
  * event-core refactor: any change to event ordering, RNG draw
  * sequences or histogram accumulation in the default (per-user) mode
- * shows up as a diff here. The last three pin the other runners —
- * autoscale::runElastic, cluster::runScaleout with a drained R=2 data
- * tier, and traced socialnet::runSocialnet — so the world assembly,
- * window protocol and harvest they share cannot drift.
+ * shows up as a diff here. ElasticSpike, ClusterQuorumDrained and
+ * SocialnetTraced pin the other runners — autoscale::runElastic,
+ * cluster::runScaleout with a drained R=2 data tier, and traced
+ * socialnet::runSocialnet — so the world assembly, window protocol and
+ * harvest they share cannot drift. GrayFailEjection and ClusterTraced
+ * pin the two result blocks no other golden carries: grayfail, and
+ * the trace attribution's fabric_ms slice.
  *
  * Regenerating (only when an intentional behavior change lands):
  *   MICROSCALE_REGEN_GOLDENS=1 ./test_integration \
@@ -247,6 +250,36 @@ TEST(Golden, SocialnetTraced)
     opts.hedgeBudget = 0.5;
     const RunResult r = socialnet::runSocialnet(c, opts);
     checkGolden("socialnet_traced.json", resultJson(r));
+}
+
+/** One gray persistence replica of three under passive outlier
+ * ejection: the grayfail block (ejection and fault-injector counters). */
+TEST(Golden, GrayFailEjection)
+{
+    ExperimentConfig c = baseConfig();
+    c.sizing.persistence = {3, 8};
+    c.faults = teastore::makeGrayScript(
+        teastore::GrayScenario::SlowPersistence, c.warmup, c.measure);
+    c.resilience = teastore::ejectionPolicy();
+    c.app.degradedFallbacks = true;
+    const RunResult r = runExperiment(c);
+    checkGolden("grayfail_ejection.json", resultJson(r));
+}
+
+/** Two small8 nodes on a LAN fabric with full tracing: the trace
+ * attribution carries each service's fabric_ms slice. */
+TEST(Golden, ClusterTraced)
+{
+    cluster::ClusterParams params;
+    params.nodes = 2;
+    params.nodeMachine = topo::small8();
+    cluster::applyFabricPreset(params, "lan");
+    params.shards = 2;
+    ExperimentConfig c = baseConfig();
+    c.trace.enabled = true;
+    c.trace.sampleRate = 1.0;
+    const RunResult r = cluster::runScaleout(c, params);
+    checkGolden("cluster_traced.json", resultJson(r));
 }
 
 } // namespace
