@@ -9,6 +9,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/json.hh"
 
@@ -158,6 +159,62 @@ TEST(Json, ParseRejectsMalformedInput)
     EXPECT_THROW(parseJson("[1, 2"), std::runtime_error);
     EXPECT_THROW(parseJson("{\"a\": 1} trailing"), std::runtime_error);
     EXPECT_THROW(parseJson("\"unterminated"), std::runtime_error);
+}
+
+TEST(Json, ParseRejectsMalformedNumbers)
+{
+    // Each once slipped through as a prefix (-, 1.2.3, 1e, 1-2) or
+    // as an empty token.
+    for (const char *text :
+         {"-", "1.2.3", "1e", "1-2", "[--]", "[1e+]", "01", ".5", "1.",
+          "+1", "[1,-]", "{\"a\": -x}"}) {
+        EXPECT_THROW(parseJson(text), std::runtime_error) << text;
+    }
+}
+
+TEST(Json, ParseAcceptsEveryNumberForm)
+{
+    const JsonValue v =
+        parseJson("[0, -0, 12, -3.25, 1e3, 1E-2, 2.5e+2, 10.0e0]");
+    const std::vector<double> want = {0, 0, 12, -3.25, 1000, 0.01, 250, 10};
+    ASSERT_EQ(v.elements.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        EXPECT_DOUBLE_EQ(v.elements[i].numberValue, want[i]) << i;
+    // Out-of-range exponents stay infinite, for json_check to flag.
+    EXPECT_TRUE(std::isinf(parseJson("1e999").numberValue));
+    EXPECT_TRUE(std::isinf(parseJson("-1e999").numberValue));
+}
+
+TEST(Json, ParseRequiresFourHexDigitsInUnicodeEscapes)
+{
+    for (const char *text :
+         {"\"\\uZZZZ\"", "\"\\u12\"", "\"\\u00G1\"", "\"\\u 041\"",
+          "\"\\u"}) {
+        EXPECT_THROW(parseJson(text), std::runtime_error) << text;
+    }
+    EXPECT_EQ(parseJson("\"\\u0041\\u001f\"").stringValue, "A\x1f");
+}
+
+TEST(Json, WriterEscapesKeysAndStrings)
+{
+    // Map keys and string fields are written through jsonEscape, so
+    // a name with a quote or a backslash round-trips.
+    RunResult r;
+    r.throughputRps = 1.0;
+    r.perOp["say \"hi\" \\ bye"].count = 3;
+    r.servicePerf["tab\tsvc"].ipc = 1.5;
+    r.elastic.active = true;
+    r.elastic.schedule = "spike \"x\"";
+    r.elastic.policy = "p";
+    r.elastic.placer = "q";
+    r.elastic.peakReplicas["a\\b"] = 2;
+    const JsonValue v = parseJson(toJson(r));
+    EXPECT_EQ(v.at("per_op").at("say \"hi\" \\ bye").at("count").numberValue,
+              3.0);
+    EXPECT_EQ(v.at("services").at("tab\tsvc").at("ipc").numberValue, 1.5);
+    const JsonValue &el = v.at("elastic");
+    EXPECT_EQ(el.at("schedule").stringValue, "spike \"x\"");
+    EXPECT_EQ(el.at("peak_replicas").at("a\\b").numberValue, 2.0);
 }
 
 TEST(Json, EscapeProducesValidStrings)
