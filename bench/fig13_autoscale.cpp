@@ -140,7 +140,7 @@ main(int argc, char **argv)
         for (const Arm &arm : arms) {
             autoscale::ElasticConfig ec;
             ec.base = base;
-            ec.schedule = *sched;
+            ec.base.loadSchedule = *sched;
             ec.initialCores = 28; // 7 of rome128's 16 CCXs
             ec.autoscale = arm.autoscale;
             ec.autoscaler = as;

@@ -74,7 +74,7 @@ main()
     ec.base.placement = core::PlacementKind::CcxAware;
     ec.base.warmup = 1 * kSecond;
     ec.base.measure = 11 * kSecond;
-    ec.schedule = autoscale::makeSchedule(
+    ec.base.loadSchedule = autoscale::makeSchedule(
         "spike", 600.0, 3000.0, ec.base.warmup, ec.base.measure);
     ec.initialCores = 28; // 7 of rome128's 16 CCXs
     ec.autoscaler.period = 250 * kMillisecond;

@@ -28,91 +28,68 @@ makeSchedule(const std::string &name, double baseRps, double peakRps,
           "' (try constant, spike, diurnal)");
 }
 
-core::RunResult
-runElastic(const ElasticConfig &config, AutoscalerTelemetry *telemetryOut)
+namespace
 {
-    if (config.schedule.empty())
-        fatal("runElastic needs a non-empty load schedule");
-    const core::ExperimentConfig &base = config.base;
 
-    core::World world(base);
-    CpuMask initial_budget = world.budget;
-    if (config.initialCores != 0)
-        initial_budget =
-            core::budgetMask(world.machine, config.initialCores, base.smt);
-    if (!initial_budget.subsetOf(world.budget))
-        fatal("runElastic: initialCores exceeds the CPU budget");
-    core::PlacementPlan plan = core::buildPlacement(
-        base.placement, world.machine, initial_budget, base.demand,
-        base.sizing);
-
-    teastore::AppParams app_params = base.app;
-    core::sizeAppFromPlan(app_params, plan);
-    teastore::App app(world.mesh, app_params, base.seed);
-    core::applyPlacement(app, plan);
-
-    std::unique_ptr<svc::BrownoutController> brownout;
-    if (base.overload.brownout.enabled) {
-        brownout = std::make_unique<svc::BrownoutController>(
-            app.webui(), base.overload.brownout);
-        brownout->setAccountingWindow(base.warmup,
-                                      base.warmup + base.measure);
-        app.setBrownout(brownout.get());
-    }
-
-    std::unique_ptr<svc::FaultInjector> injector;
-    if (!base.faults.empty()) {
-        injector =
-            std::make_unique<svc::FaultInjector>(world.mesh, base.faults);
-        injector->arm();
-    }
-
-    AutoscalerParams as_params = config.autoscaler;
-    if (!config.autoscale)
-        as_params.policy = PolicyKind::Static;
-    Autoscaler autoscaler(app, world.machine, world.budget, plan,
-                          as_params);
-    autoscaler.setAccountingWindow(base.warmup,
-                                   base.warmup + base.measure);
-    autoscaler.recordTimeline(config.recordTimeline);
-
-    loadgen::OpenLoopParams lp;
-    lp.schedule = config.schedule;
-    loadgen::OpenLoopDriver driver(app, base.mix, lp, base.seed);
-    loadgen::Measurement &measurement = driver.measurement();
-    measurement.setWindow(base.warmup, base.warmup + base.measure);
-
-    world.kernel.start();
-    app.start();
-    if (brownout)
-        brownout->start();
-    autoscaler.start();
-    driver.start();
-
-    core::RunResult result;
-    result.plan = plan;
-    world.runWindows(app.services(), result);
-    core::harvestLoad(measurement, core::teastoreOpNames(), result);
-    result.resilience.active =
-        base.resilience.active() || !base.faults.empty() ||
-        app_params.degradedFallbacks || base.overload.active();
-    core::harvestOverload(base, app, measurement, brownout.get(),
-                          result);
-    core::harvestTrace(base, world.mesh, teastore::names::kWebui, result);
-    core::harvestGrayFail(base, app, world.network, injector.get(),
-                          result);
-
+/** The autoscaler attached to one run. */
+class ElasticController : public core::Controller
+{
+  public:
+    ElasticController(const ElasticConfig &config,
+                      AutoscalerTelemetry *telemetryOut)
+        : config_(config), telemetry_out_(telemetryOut)
     {
-        const AutoscalerTelemetry &t = autoscaler.telemetry();
+    }
+
+    bool
+    plan(core::World &world, core::PlacementPlan &plan) override
+    {
+        const core::ExperimentConfig &base = config_.base;
+        CpuMask initial_budget = world.budget;
+        if (config_.initialCores != 0)
+            initial_budget = core::budgetMask(
+                world.machine, config_.initialCores, base.smt);
+        if (!initial_budget.subsetOf(world.budget))
+            fatal("runElastic: initialCores exceeds the CPU budget");
+        plan = core::buildPlacement(base.placement, world.machine,
+                                    initial_budget, base.demand,
+                                    base.sizing);
+        plan_ = plan;
+        return true;
+    }
+
+    void
+    build(core::World &world, teastore::App &app) override
+    {
+        AutoscalerParams params = config_.autoscaler;
+        if (!config_.autoscale)
+            params.policy = PolicyKind::Static;
+        autoscaler_ = std::make_unique<Autoscaler>(
+            app, world.machine, world.budget, plan_, params);
+        const Tick warmup = config_.base.warmup;
+        autoscaler_->setAccountingWindow(warmup,
+                                         warmup + config_.base.measure);
+        autoscaler_->recordTimeline(config_.recordTimeline);
+    }
+
+    void start() override { autoscaler_->start(); }
+
+    void
+    harvest(core::RunResult &result) override
+    {
+        const core::ExperimentConfig &base = config_.base;
+        const loadgen::LoadSchedule &schedule = base.loadSchedule;
+        const AutoscalerParams &params = autoscaler_->params();
+        const AutoscalerTelemetry &t = autoscaler_->telemetry();
         core::ElasticSummary &es = result.elastic;
         es.active = true;
-        es.schedule = config.schedule.name();
-        es.policy = policyName(as_params.policy);
-        es.placer = placerName(as_params.placer);
-        es.offeredMeanRps = config.schedule.meanRate(
-            base.warmup, base.warmup + base.measure);
-        es.offeredPeakRps = config.schedule.peakRate();
-        es.sloP99Ms = as_params.sloP99Ms;
+        es.schedule = schedule.name();
+        es.policy = policyName(params.policy);
+        es.placer = placerName(params.placer);
+        es.offeredMeanRps =
+            schedule.meanRate(base.warmup, base.warmup + base.measure);
+        es.offeredPeakRps = schedule.peakRate();
+        es.sloP99Ms = params.sloP99Ms;
         es.sloViolationSeconds = t.sloViolationSeconds;
         es.coreSecondsGranted = t.coreSecondsGranted;
         es.steadyStateCpus = t.steadyStateCpus;
@@ -126,19 +103,31 @@ runElastic(const ElasticConfig &config, AutoscalerTelemetry *telemetryOut)
                 sum / static_cast<double>(t.scaleOutLagMs.size());
         }
         es.peakReplicas = t.peakReplicas;
-        if (telemetryOut)
-            *telemetryOut = t;
+        if (telemetry_out_)
+            *telemetry_out_ = t;
     }
 
-    driver.stopIssuing();
-    autoscaler.stop();
-    if (brownout) {
-        app.setBrownout(nullptr);
-        brownout->stop();
-    }
-    app.stop();
-    world.kernel.stop();
-    return result;
+    void stop() override { autoscaler_->stop(); }
+
+  private:
+    const ElasticConfig &config_;
+    AutoscalerTelemetry *telemetry_out_;
+    core::PlacementPlan plan_;
+    std::unique_ptr<Autoscaler> autoscaler_;
+};
+
+} // namespace
+
+core::RunResult
+runElastic(const ElasticConfig &config, AutoscalerTelemetry *telemetryOut,
+           const std::vector<core::Controller *> &extra)
+{
+    if (config.base.loadSchedule.empty())
+        fatal("runElastic needs a non-empty load schedule");
+    ElasticController elastic(config, telemetryOut);
+    std::vector<core::Controller *> controllers{&elastic};
+    controllers.insert(controllers.end(), extra.begin(), extra.end());
+    return core::runExperiment(config.base, controllers);
 }
 
 } // namespace microscale::autoscale

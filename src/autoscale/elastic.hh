@@ -1,15 +1,14 @@
 /**
  * @file
- * runElastic: one end-to-end elasticity run.
+ * Elastic runs: the Autoscaler control loop as a core::Controller.
  *
- * Builds a core::World with the TeaStore app and placement, then adds
- * the elasticity pieces: an open-loop driver following a LoadSchedule
- * (non-homogeneous Poisson arrivals) and an Autoscaler control loop
- * actuating the Service elasticity hooks. The window protocol and the
- * shared harvest are the World's and the TeaStore runner helpers', so
- * results are directly comparable with runExperiment; on top it fills
- * RunResult::elastic with the FIG-13 metrics (SLO-violation seconds,
- * core-seconds granted, scale-out lag, peak replicas).
+ * An elastic run is a core::runExperiment run whose config carries a
+ * LoadSchedule (non-homogeneous Poisson arrivals) with the autoscaler
+ * attached as a controller: it plans the initial deployment, actuates
+ * the Service elasticity hooks and fills RunResult::elastic with the
+ * FIG-13 metrics (SLO-violation seconds, core-seconds granted,
+ * scale-out lag, peak replicas). Windows, harvest, drain and ledger
+ * are the shared runner's, so results compare with any other run.
  *
  * Lives in src/autoscale (not core) so core never depends on the
  * autoscaler.
@@ -29,14 +28,11 @@ namespace microscale::autoscale
 struct ElasticConfig
 {
     /**
-     * Base world configuration. The load schedule below replaces the
-     * closed-loop/openLoopRps drivers; placement/sizing describe the
+     * Base world configuration. Its loadSchedule is the offered load
+     * over time and must be non-empty; placement/sizing describe the
      * initial deployment the autoscaler starts from.
      */
     core::ExperimentConfig base;
-
-    /** Offered load over time (must be non-empty). */
-    loadgen::LoadSchedule schedule;
 
     /**
      * Physical cores the *initial* deployment is planned over
@@ -58,12 +54,17 @@ struct ElasticConfig
 };
 
 /**
- * Run one elastic experiment. Returns the standard RunResult with
- * `elastic` filled; `telemetryOut`, when non-null, receives the raw
- * control-loop telemetry (timelines, per-event lags).
+ * Run one elastic experiment: runExperiment on config.base with the
+ * autoscaler attached as the first controller and the `extra`
+ * controllers after it, in order. The autoscaler's plan places the
+ * initial deployment over the initialCores budget. Returns the
+ * standard RunResult with `elastic` filled; `telemetryOut`, when
+ * non-null, receives the raw control-loop telemetry (timelines,
+ * per-event lags).
  */
 core::RunResult runElastic(const ElasticConfig &config,
-                           AutoscalerTelemetry *telemetryOut = nullptr);
+                           AutoscalerTelemetry *telemetryOut = nullptr,
+                           const std::vector<core::Controller *> &extra = {});
 
 /**
  * The canonical schedule shapes of the elasticity experiments, scaled

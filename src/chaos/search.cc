@@ -7,7 +7,7 @@
 #include "base/logging.hh"
 #include "chaos/ledger.hh"
 #include "cluster/cluster.hh"
-#include "core/experiment.hh"
+#include "core/world.hh"
 #include "sim/simulation.hh"
 #include "svc/mesh.hh"
 #include "svc/service.hh"
@@ -137,18 +137,54 @@ harnessConfig(const ChaosRunOptions &opts)
     return c;
 }
 
-/** The quiescence / breaker / ejection / deadline invariants. */
-void
-checkWorldInvariants(sim::Simulation &sim, svc::Mesh &mesh,
-                     std::vector<std::string> &out)
+std::uint64_t
+fnv1a(const std::string &bytes, std::uint64_t h = 1469598103934665603ull)
 {
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+std::string
+verdictLine(const ChaosVerdict &v)
+{
+    std::string s = "issued=" + std::to_string(v.issued) +
+                    " terminals=" + std::to_string(v.terminals);
+    for (unsigned i = 0; i < svc::kNumStatuses; ++i) {
+        if (v.byStatus[i] == 0)
+            continue;
+        s += std::string(" ") +
+             svc::statusName(static_cast<svc::Status>(i)) + "=" +
+             std::to_string(v.byStatus[i]);
+    }
+    s += " applied=" + std::to_string(v.faultsApplied);
+    if (v.faultsSkipped > 0)
+        s += " skipped=" + std::to_string(v.faultsSkipped);
+    if (v.ackedWrites > 0) {
+        s += " ackedWrites=" + std::to_string(v.ackedWrites) +
+             " lostAcked=" + std::to_string(v.lostAckedWrites) +
+             " staleReads=" + std::to_string(v.staleQuorumReads);
+    }
+    return s;
+}
+
+} // namespace
+
+void
+InvariantChecker::drained(core::World &world, teastore::App &,
+                          core::RunResult &)
+{
+    const sim::Simulation &sim = world.sim;
+    std::vector<std::string> &out = violations_;
     if (sim.foregroundQueued() != 0) {
         out.push_back("drain: " + std::to_string(sim.foregroundQueued()) +
                       " foreground event(s) still queued");
     }
 
-    const svc::ResilienceConfig &rc = mesh.resilience();
-    for (const auto &svc_ptr : mesh.services()) {
+    const svc::ResilienceConfig &rc = world.mesh.resilience();
+    for (const auto &svc_ptr : world.mesh.services()) {
         const svc::Service &s = *svc_ptr;
         if (s.busyWorkers() != 0) {
             out.push_back("drain: " + s.name() + " has " +
@@ -204,7 +240,7 @@ checkWorldInvariants(sim::Simulation &sim, svc::Mesh &mesh,
         }
     }
 
-    if (const auto &store = mesh.traceStore()) {
+    if (const auto &store = world.mesh.traceStore()) {
         std::uint64_t bad = 0;
         for (const auto &t : store->traces()) {
             for (const trace::Span &span : t->spans()) {
@@ -224,41 +260,6 @@ checkWorldInvariants(sim::Simulation &sim, svc::Mesh &mesh,
         }
     }
 }
-
-std::uint64_t
-fnv1a(const std::string &bytes, std::uint64_t h = 1469598103934665603ull)
-{
-    for (unsigned char c : bytes) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-std::string
-verdictLine(const ChaosVerdict &v)
-{
-    std::string s = "issued=" + std::to_string(v.issued) +
-                    " terminals=" + std::to_string(v.terminals);
-    for (unsigned i = 0; i < svc::kNumStatuses; ++i) {
-        if (v.byStatus[i] == 0)
-            continue;
-        s += std::string(" ") +
-             svc::statusName(static_cast<svc::Status>(i)) + "=" +
-             std::to_string(v.byStatus[i]);
-    }
-    s += " applied=" + std::to_string(v.faultsApplied);
-    if (v.faultsSkipped > 0)
-        s += " skipped=" + std::to_string(v.faultsSkipped);
-    if (v.ackedWrites > 0) {
-        s += " ackedWrites=" + std::to_string(v.ackedWrites) +
-             " lostAcked=" + std::to_string(v.lostAckedWrites) +
-             " staleReads=" + std::to_string(v.staleQuorumReads);
-    }
-    return s;
-}
-
-} // namespace
 
 FaultSpace
 harnessFaultSpace(bool clusterHarness)
@@ -349,15 +350,12 @@ runSchedule(const svc::FaultScript &script, const ChaosRunOptions &opts)
     config.faults = script;
     config.ledger = &ledger;
     config.drainAtEnd = true;
-    config.postDrain = [&verdict](sim::Simulation &sim, svc::Mesh &mesh,
-                                  teastore::App &) {
-        checkWorldInvariants(sim, mesh, verdict.violations);
-    };
+    InvariantChecker checker(verdict.violations);
 
     const core::RunResult result =
-        opts.cluster
-            ? cluster::runScaleout(config, clusterHarnessParams())
-            : core::runExperiment(config);
+        opts.cluster ? cluster::runScaleout(config, clusterHarnessParams(),
+                                            {&checker})
+                     : core::runExperiment(config, {&checker});
 
     ledger.verify(verdict.violations);
     // The replication invariants (no lost acked write, no stale quorum

@@ -35,6 +35,7 @@
 
 #include "base/types.hh"
 #include "chaos/schedule.hh"
+#include "core/experiment.hh"
 #include "svc/fault.hh"
 #include "svc/resilience.hh"
 
@@ -95,6 +96,23 @@ FaultSpace harnessFaultSpace(bool clusterHarness = false);
 
 /** Fault-injection window of the harness run, for randomSchedule. */
 void harnessWindow(Tick &start, Tick &end);
+
+/** Checks invariants 2-4 on a drained world (attach it to a
+ * drainAtEnd run); appends one line per violation. */
+class InvariantChecker : public core::Controller
+{
+  public:
+    explicit InvariantChecker(std::vector<std::string> &violations)
+        : violations_(violations)
+    {
+    }
+
+    void drained(core::World &world, teastore::App &app,
+                 core::RunResult &result) override;
+
+  private:
+    std::vector<std::string> &violations_;
+};
 
 /** Run one schedule through the harness and judge it. */
 ChaosVerdict runSchedule(const svc::FaultScript &script,

@@ -7,6 +7,7 @@
 
 #include "base/logging.hh"
 #include "core/placement.hh"
+#include "core/world.hh"
 #include "teastore/profiles.hh"
 #include "topo/machine.hh"
 
@@ -862,19 +863,103 @@ Cluster::harvest(core::RunResult &result) const
         coordinator_->harvest(result.replication);
 }
 
-void
-Cluster::harvestReplication(core::RunResult &result) const
-{
-    if (coordinator_)
-        coordinator_->harvest(result.replication);
-}
-
 // ---------------------------------------------------------------------------
 // Runner
 
+namespace
+{
+
+/** The cluster runtime attached to one run of the merged world. */
+class ClusterController : public core::Controller
+{
+  public:
+    ClusterController(const core::ExperimentConfig &base,
+                      const ClusterParams &params, unsigned initial)
+        : base_(base), params_(params), initial_(initial)
+    {
+    }
+
+    // Per-node plans over each machine's socket group; the app is
+    // built from the initially active nodes' plans concatenated
+    // node-major (so replica index ranges map back to machines). The
+    // registry stays a cluster singleton on node 0. Spare nodes keep
+    // their plans for the scaler. On a 1-node cluster this reduces to
+    // exactly buildPlacement over the whole budget.
+    bool
+    plan(core::World &world, core::PlacementPlan &merged) override
+    {
+        const unsigned spn = params_.nodeMachine.sockets;
+        for (unsigned n = 0; n < params_.nodes; ++n) {
+            CpuMask nb;
+            for (unsigned s = n * spn; s < (n + 1) * spn; ++s)
+                nb = nb | world.machine.cpusOfSocket(s);
+            nb = nb & world.budget;
+            budgets_.push_back(nb);
+            plans_.push_back(core::buildPlacement(
+                base_.placement, world.machine, nb, base_.demand,
+                base_.sizing));
+        }
+        merged.kind = base_.placement;
+        for (const char *name : kWorkerServices) {
+            core::ServicePlan mp;
+            mp.workers = plans_[0].services.at(name).workers;
+            mp.replicas = 0;
+            for (unsigned n = 0; n < initial_; ++n) {
+                const core::ServicePlan &sp = plans_[n].services.at(name);
+                mp.replicas += sp.replicas;
+                mp.masks.insert(mp.masks.end(), sp.masks.begin(),
+                                sp.masks.end());
+                mp.homes.insert(mp.homes.end(), sp.homes.begin(),
+                                sp.homes.end());
+            }
+            merged.services[name] = std::move(mp);
+        }
+        merged.services[teastore::names::kRegistry] =
+            plans_[0].services.at(teastore::names::kRegistry);
+        return true;
+    }
+
+    void
+    build(core::World &world, teastore::App &app) override
+    {
+        const autoscale::PlacerKind placer =
+            base_.placement == core::PlacementKind::OsDefault
+                ? autoscale::PlacerKind::OsDefault
+                : autoscale::PlacerKind::TopologyAware;
+        cluster_ = std::make_unique<Cluster>(
+            world.sim, world.mesh, app, world.machine, params_,
+            std::move(plans_), std::move(budgets_), placer, base_.ledger);
+        cluster_->start();
+    }
+
+    void
+    harvest(core::RunResult &result) override
+    {
+        cluster_->harvest(result);
+        // The scaler stops before the optional drain.
+        cluster_->stop();
+    }
+
+    void
+    drained(core::World &, teastore::App &, core::RunResult &result) override
+    {
+        cluster_->verifyReplication(result);
+    }
+
+  private:
+    const core::ExperimentConfig &base_;
+    const ClusterParams &params_;
+    const unsigned initial_;
+    std::vector<CpuMask> budgets_;
+    std::vector<core::PlacementPlan> plans_;
+    std::unique_ptr<Cluster> cluster_;
+};
+
+} // namespace
+
 core::RunResult
-runScaleout(const core::ExperimentConfig &base,
-            const ClusterParams &params)
+runScaleout(const core::ExperimentConfig &base, const ClusterParams &params,
+            const std::vector<core::Controller *> &extra)
 {
     if (params.nodes == 0)
         fatal("cluster needs at least one node");
@@ -897,102 +982,10 @@ runScaleout(const core::ExperimentConfig &base,
     cfg.net.fabricRackSize = params.fabricRackSize;
     cfg.net.fabricCoreFactor = params.fabricCoreFactor;
 
-    // Shared between the three hooks; kept alive by their captures
-    // (cfg outlives the runExperiment call below).
-    struct State
-    {
-        std::vector<CpuMask> budgets;
-        std::vector<core::PlacementPlan> plans;
-        std::unique_ptr<Cluster> cluster;
-        /** Valid between harvestExtra and postDrain (the RunResult
-         * lives in runExperiment's frame the whole time). */
-        core::RunResult *result = nullptr;
-    };
-    auto state = std::make_shared<State>();
-
-    // Per-node plans over each machine's socket group; the app is
-    // built from the initially active nodes' plans concatenated
-    // node-major (so replica index ranges map back to machines). The
-    // registry stays a cluster singleton on node 0. Spare nodes keep
-    // their plans for the scaler. On a 1-node cluster this reduces to
-    // exactly buildPlacement over the whole budget.
-    cfg.planOverride = [state, params, initial,
-                        placement = base.placement,
-                        demand = base.demand, sizing = base.sizing](
-                           const topo::Machine &machine,
-                           const CpuMask &budget) {
-        state->budgets.clear();
-        state->plans.clear();
-        const unsigned spn = params.nodeMachine.sockets;
-        for (unsigned n = 0; n < params.nodes; ++n) {
-            CpuMask nb;
-            for (unsigned s = n * spn; s < (n + 1) * spn; ++s)
-                nb = nb | machine.cpusOfSocket(s);
-            nb = nb & budget;
-            state->budgets.push_back(nb);
-            state->plans.push_back(core::buildPlacement(
-                placement, machine, nb, demand, sizing));
-        }
-        core::PlacementPlan merged;
-        merged.kind = placement;
-        for (const char *name : kWorkerServices) {
-            core::ServicePlan mp;
-            mp.workers = state->plans[0].services.at(name).workers;
-            mp.replicas = 0;
-            for (unsigned n = 0; n < initial; ++n) {
-                const core::ServicePlan &sp =
-                    state->plans[n].services.at(name);
-                mp.replicas += sp.replicas;
-                mp.masks.insert(mp.masks.end(), sp.masks.begin(),
-                                sp.masks.end());
-                mp.homes.insert(mp.homes.end(), sp.homes.begin(),
-                                sp.homes.end());
-            }
-            merged.services[name] = std::move(mp);
-        }
-        merged.services[teastore::names::kRegistry] =
-            state->plans[0].services.at(teastore::names::kRegistry);
-        return merged;
-    };
-
-    const autoscale::PlacerKind placer_kind =
-        base.placement == core::PlacementKind::OsDefault
-            ? autoscale::PlacerKind::OsDefault
-            : autoscale::PlacerKind::TopologyAware;
-    cfg.postBuild = [state, params, placer_kind,
-                     ledger = base.ledger](sim::Simulation &sim,
-                                           svc::Mesh &mesh,
-                                           teastore::App &app) {
-        state->cluster = std::make_unique<Cluster>(
-            sim, mesh, app, mesh.kernel().machine(), params,
-            state->plans, state->budgets, placer_kind, ledger);
-        state->cluster->start();
-    };
-
-    cfg.harvestExtra = [state](sim::Simulation &, svc::Mesh &,
-                               teastore::App &,
-                               core::RunResult &result) {
-        state->cluster->harvest(result);
-        state->result = &result;
-        // Stop the scaler while the simulation still exists; the
-        // Cluster object itself outlives the run.
-        state->cluster->stop();
-    };
-
-    // After the drain: sweep the acked-write ledger against the final
-    // replica state and patch the verdict into the harvested summary
-    // (harvest ran pre-drain). Composes with any caller postDrain.
-    cfg.postDrain = [state, inner = base.postDrain](
-                        sim::Simulation &sim, svc::Mesh &mesh,
-                        teastore::App &app) {
-        if (inner)
-            inner(sim, mesh, app);
-        state->cluster->verifyReplication();
-        if (state->result != nullptr)
-            state->cluster->harvestReplication(*state->result);
-    };
-
-    return core::runExperiment(cfg);
+    ClusterController controller(base, params, initial);
+    std::vector<core::Controller *> controllers{&controller};
+    controllers.insert(controllers.end(), extra.begin(), extra.end());
+    return core::runExperiment(cfg, controllers);
 }
 
 } // namespace microscale::cluster

@@ -199,15 +199,18 @@ class Cluster;
  * Run one scale-out experiment: `base` describes the per-node world
  * exactly as core::runExperiment would take it (base.machine is
  * ignored; params.nodeMachine defines the node), `params` the cluster
- * on top. The result is the standard RunResult with `scaleout` filled.
+ * on top. The cluster runtime attaches as the first controller; the
+ * `extra` controllers follow it in order. The result is the standard
+ * RunResult with `scaleout` filled.
  */
 core::RunResult runScaleout(const core::ExperimentConfig &base,
-                            const ClusterParams &params);
+                            const ClusterParams &params,
+                            const std::vector<core::Controller *> &extra = {});
 
 /**
  * The assembled cluster runtime: routing tables, cache/shard tier and
- * node scaler. Created by runScaleout inside the experiment's
- * postBuild hook; exposed for tests that drive the pieces directly.
+ * node scaler. Created by runScaleout's controller when the app is
+ * built; exposed for tests that drive the pieces directly.
  */
 class Cluster : public teastore::ScaleoutBackend
 {
@@ -284,15 +287,12 @@ class Cluster : public teastore::ScaleoutBackend
 
     /**
      * Post-drain verification: sweep the acked-write ledger against
-     * the final ring and replica version maps (no-op at factor 1).
-     * Call after the simulation drained; runScaleout wires it into
-     * the experiment's postDrain hook.
+     * the final ring and replica version maps, then patch the verdict
+     * into the already-harvested `result` (no-op at factor 1). Call
+     * after the simulation drained; runScaleout's controller does so
+     * in its drained phase.
      */
-    void verifyReplication();
-
-    /** Patch the post-drain counters into an already-harvested
-     * summary (the harvest hook runs before the drain). */
-    void harvestReplication(core::RunResult &result) const;
+    void verifyReplication(core::RunResult &result);
 
   private:
     class Router;

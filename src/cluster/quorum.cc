@@ -790,13 +790,14 @@ Cluster::finishRebalance()
 // Cluster: post-drain verification
 
 void
-Cluster::verifyReplication()
+Cluster::verifyReplication(core::RunResult &result)
 {
     if (!coordinator_)
         return;
     coordinator_->verifyAcked([this](const std::string &entity) {
         return shardOwners(entity);
     });
+    coordinator_->harvest(result.replication);
 }
 
 } // namespace microscale::cluster

@@ -1,5 +1,6 @@
 #include "core/experiment.hh"
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -10,125 +11,10 @@
 namespace microscale::core
 {
 
-RunResult
-runExperiment(const ExperimentConfig &config)
+namespace
 {
-    World world(config);
-    PlacementPlan plan =
-        config.planOverride
-            ? config.planOverride(world.machine, world.budget)
-            : buildPlacement(config.placement, world.machine,
-                             world.budget, config.demand, config.sizing);
 
-    teastore::AppParams app_params = config.app;
-    sizeAppFromPlan(app_params, plan);
-    teastore::App app(world.mesh, app_params, config.seed);
-    applyPlacement(app, plan);
-
-    std::unique_ptr<svc::BrownoutController> brownout;
-    if (config.overload.brownout.enabled) {
-        brownout = std::make_unique<svc::BrownoutController>(
-            app.webui(), config.overload.brownout);
-        brownout->setAccountingWindow(config.warmup,
-                                      config.warmup + config.measure);
-        app.setBrownout(brownout.get());
-    }
-
-    // Cluster construction (shard/cache services, node router, node
-    // scaler) happens before the fault injector arms so cluster fault
-    // scripts validate against the full service registry.
-    if (config.postBuild)
-        config.postBuild(world.sim, world.mesh, app);
-
-    std::unique_ptr<svc::FaultInjector> injector;
-    if (!config.faults.empty()) {
-        injector =
-            std::make_unique<svc::FaultInjector>(world.mesh, config.faults);
-        injector->arm();
-    }
-
-    const loadgen::BrowseMix &mix = config.mix;
-    std::unique_ptr<loadgen::ClosedLoopDriver> closed;
-    std::unique_ptr<loadgen::OpenLoopDriver> open;
-    loadgen::Measurement *measurement = nullptr;
-    if (config.openLoopRps > 0.0) {
-        loadgen::OpenLoopParams p;
-        p.arrivalRps = config.openLoopRps;
-        p.schedule = config.loadSchedule;
-        p.ledger = config.ledger;
-        open = std::make_unique<loadgen::OpenLoopDriver>(app, mix, p,
-                                                         config.seed);
-        measurement = &open->measurement();
-    } else {
-        loadgen::ClosedLoopParams lp = config.load;
-        lp.ledger = config.ledger;
-        closed = std::make_unique<loadgen::ClosedLoopDriver>(
-            app, mix, lp, config.seed);
-        measurement = &closed->measurement();
-    }
-    measurement->setWindow(config.warmup, config.warmup + config.measure);
-
-    world.kernel.start();
-    app.start();
-    if (brownout)
-        brownout->start();
-    if (closed)
-        closed->start();
-    else
-        open->start();
-
-    RunResult result;
-    result.plan = plan;
-    world.runWindows(app.services(), result);
-    harvestLoad(*measurement, teastoreOpNames(), result);
-    result.resilience.active =
-        config.resilience.active() || !config.faults.empty() ||
-        app_params.degradedFallbacks || config.overload.active();
-    harvestOverload(config, app, *measurement, brownout.get(), result);
-    harvestTrace(config, world.mesh, teastore::names::kWebui, result);
-    harvestGrayFail(config, app, world.network, injector.get(), result);
-
-    if (config.harvestExtra)
-        config.harvestExtra(world.sim, world.mesh, app, result);
-
-    // Optional quiesce: stop the drivers and let in-flight work finish
-    // (complete or time out). Every periodic timer in the system is a
-    // background event, so run() terminates once the last foreground
-    // request settles. Harvesting already happened — results are
-    // unaffected; this exists for end-of-run invariant checks.
-    if (config.drainAtEnd) {
-        if (closed)
-            closed->stopIssuing();
-        if (open)
-            open->stopIssuing();
-        world.sim.run();
-        if (config.postDrain)
-            config.postDrain(world.sim, world.mesh, app);
-    }
-
-    // Orderly teardown: stop sources before the world is destroyed.
-    if (closed)
-        closed->stopIssuing();
-    if (open)
-        open->stopIssuing();
-    if (brownout) {
-        app.setBrownout(nullptr);
-        brownout->stop();
-    }
-    app.stop();
-    world.kernel.stop();
-    return result;
-}
-
-std::vector<std::string>
-teastoreOpNames()
-{
-    std::vector<std::string> names;
-    for (teastore::OpType op : teastore::allOps())
-        names.push_back(teastore::opName(op));
-    return names;
-}
-
+/** Fill result.overload from a finished run. */
 void
 harvestOverload(const ExperimentConfig &config, teastore::App &app,
                 const loadgen::Measurement &measurement,
@@ -175,30 +61,7 @@ harvestOverload(const ExperimentConfig &config, teastore::App &app,
     }
 }
 
-void
-harvestTrace(const ExperimentConfig &config, const svc::Mesh &mesh,
-             const std::string &root, RunResult &result)
-{
-    TraceSummary &tr = result.trace;
-    const std::shared_ptr<trace::TraceStore> &store = mesh.traceStore();
-    tr.active = static_cast<bool>(store);
-    if (!tr.active)
-        return;
-    tr.sampleRate = config.trace.sampleRate;
-    tr.rootsSeen = store->rootsSeen();
-    tr.tracesSampled = store->traces().size();
-    tr.spanCount = store->spanCount();
-    tr.attribution = trace::attributeTraces(
-        *store, root, config.warmup, config.warmup + config.measure);
-    tr.tracesAnalyzed = tr.attribution.traces;
-    tr.meanE2eMs = tr.tracesAnalyzed
-                       ? tr.attribution.e2eNs /
-                             (static_cast<double>(tr.tracesAnalyzed) *
-                              static_cast<double>(kMillisecond))
-                       : 0.0;
-    tr.store = store;
-}
-
+/** Fill result.grayfail; active with ejection or a gray-fault script. */
 void
 harvestGrayFail(const ExperimentConfig &config, teastore::App &app,
                 const net::Network &network,
@@ -246,24 +109,148 @@ harvestGrayFail(const ExperimentConfig &config, teastore::App &app,
     }
 }
 
+} // namespace
+
+RunResult
+runExperiment(const ExperimentConfig &config,
+              const std::vector<Controller *> &controllers)
+{
+    World world(config);
+    PlacementPlan plan;
+    if (std::none_of(controllers.begin(), controllers.end(),
+                     [&](Controller *c) { return c->plan(world, plan); }))
+        plan = buildPlacement(config.placement, world.machine, world.budget,
+                              config.demand, config.sizing);
+
+    teastore::AppParams app_params = config.app;
+    sizeAppFromPlan(app_params, plan);
+    teastore::App app(world.mesh, app_params, config.seed);
+    applyPlacement(app, plan);
+
+    std::unique_ptr<svc::BrownoutController> brownout;
+    if (config.overload.brownout.enabled) {
+        brownout = std::make_unique<svc::BrownoutController>(
+            app.webui(), config.overload.brownout);
+        brownout->setAccountingWindow(config.warmup,
+                                      config.warmup + config.measure);
+        app.setBrownout(brownout.get());
+    }
+
+    for (Controller *c : controllers)
+        c->build(world, app);
+
+    std::unique_ptr<svc::FaultInjector> injector;
+    if (!config.faults.empty()) {
+        injector =
+            std::make_unique<svc::FaultInjector>(world.mesh, config.faults);
+        injector->arm();
+    }
+
+    const loadgen::BrowseMix &mix = config.mix;
+    std::unique_ptr<loadgen::ClosedLoopDriver> closed;
+    std::unique_ptr<loadgen::OpenLoopDriver> open;
+    loadgen::Measurement *measurement = nullptr;
+    if (config.openLoopRps > 0.0 || !config.loadSchedule.empty()) {
+        loadgen::OpenLoopParams p;
+        p.arrivalRps = config.openLoopRps;
+        p.schedule = config.loadSchedule;
+        p.ledger = config.ledger;
+        open = std::make_unique<loadgen::OpenLoopDriver>(app, mix, p,
+                                                         config.seed);
+        measurement = &open->measurement();
+    } else {
+        loadgen::ClosedLoopParams lp = config.load;
+        lp.ledger = config.ledger;
+        closed = std::make_unique<loadgen::ClosedLoopDriver>(
+            app, mix, lp, config.seed);
+        measurement = &closed->measurement();
+    }
+    measurement->setWindow(config.warmup, config.warmup + config.measure);
+
+    world.kernel.start();
+    app.start();
+    if (brownout)
+        brownout->start();
+    for (Controller *c : controllers)
+        c->start();
+    if (closed)
+        closed->start();
+    else
+        open->start();
+
+    RunResult result;
+    result.plan = plan;
+    world.runWindows(app.services(), result);
+    std::vector<std::string> op_names;
+    for (teastore::OpType op : teastore::allOps())
+        op_names.push_back(teastore::opName(op));
+    harvestLoad(*measurement, op_names, result);
+    result.resilience.active =
+        config.resilience.active() || !config.faults.empty() ||
+        app_params.degradedFallbacks || config.overload.active();
+    harvestOverload(config, app, *measurement, brownout.get(), result);
+    harvestTrace(config, world.mesh, teastore::names::kWebui, result);
+    harvestGrayFail(config, app, world.network, injector.get(), result);
+    for (Controller *c : controllers)
+        c->harvest(result);
+
+    // Orderly teardown: stop sources before the world is destroyed.
+    if (closed)
+        closed->stopIssuing();
+    else
+        open->stopIssuing();
+    // Optional quiesce: let in-flight work finish (complete or time
+    // out). Every periodic timer in the system is a background event,
+    // so run() terminates once the last foreground request settles.
+    // Harvesting already happened — results are unaffected; this exists
+    // for end-of-run invariant checks.
+    if (config.drainAtEnd) {
+        world.sim.run();
+        for (Controller *c : controllers)
+            c->drained(world, app, result);
+    }
+    for (Controller *c : controllers)
+        c->stop();
+    if (brownout) {
+        app.setBrownout(nullptr);
+        brownout->stop();
+    }
+    app.stop();
+    world.kernel.stop();
+    return result;
+}
+
+void
+harvestTrace(const ExperimentConfig &config, const svc::Mesh &mesh,
+             const std::string &root, RunResult &result)
+{
+    TraceSummary &tr = result.trace;
+    const std::shared_ptr<trace::TraceStore> &store = mesh.traceStore();
+    tr.active = static_cast<bool>(store);
+    if (!tr.active)
+        return;
+    tr.sampleRate = config.trace.sampleRate;
+    tr.rootsSeen = store->rootsSeen();
+    tr.tracesSampled = store->traces().size();
+    tr.spanCount = store->spanCount();
+    tr.attribution = trace::attributeTraces(
+        *store, root, config.warmup, config.warmup + config.measure);
+    tr.tracesAnalyzed = tr.attribution.traces;
+    tr.meanE2eMs = tr.tracesAnalyzed
+                       ? tr.attribution.e2eNs /
+                             (static_cast<double>(tr.tracesAnalyzed) *
+                              static_cast<double>(kMillisecond))
+                       : 0.0;
+    tr.store = store;
+}
+
 DemandShares
 measureDemand(ExperimentConfig config)
 {
     config.placement = PlacementKind::OsDefault;
     config.warmup = 300 * kMillisecond;
     config.measure = 700 * kMillisecond;
-    const RunResult r = runExperiment(config);
-
-    DemandShares d;
-    d.webui = r.servicePerf.at(teastore::names::kWebui).utilizationCpus;
-    d.auth = r.servicePerf.at(teastore::names::kAuth).utilizationCpus;
-    d.persistence =
-        r.servicePerf.at(teastore::names::kPersistence).utilizationCpus;
-    d.recommender =
-        r.servicePerf.at(teastore::names::kRecommender).utilizationCpus;
-    d.image = r.servicePerf.at(teastore::names::kImage).utilizationCpus;
-    d.normalize();
-    return d;
+    return demandFromRun(runExperiment(config));
 }
 
 DemandShares

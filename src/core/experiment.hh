@@ -10,7 +10,6 @@
 #define MICROSCALE_CORE_EXPERIMENT_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -103,48 +102,14 @@ struct ExperimentConfig
     bool drainAtEnd = false;
 
     /**
-     * Inspection hook invoked after the drain (requires drainAtEnd),
-     * before teardown, with the quiesced world. The chaos harness uses
-     * it to check breaker/ejection consistency and zero-queue
-     * invariants while the mesh still exists.
-     */
-    std::function<void(sim::Simulation &, svc::Mesh &, teastore::App &)>
-        postDrain;
-
-    /**
-     * Rate schedule for the open-loop driver (requires openLoopRps > 0
-     * to select it). Empty (the default) keeps the constant-rate
-     * arrival sequence bit-identical; non-empty modulates arrivals by
-     * thinning against openLoopRps as the peak.
+     * Rate schedule of the open-loop driver. A non-empty schedule
+     * selects the open-loop driver and sets its rate over time
+     * (non-homogeneous Poisson arrivals thinned against the schedule's
+     * own peak), so openLoopRps is then ignored. Empty (the default):
+     * openLoopRps > 0 selects a fixed-rate open loop, otherwise the
+     * closed loop runs.
      */
     loadgen::LoadSchedule loadSchedule;
-
-    /**
-     * Placement override: when set, used instead of buildPlacement to
-     * produce the plan the app is built and pinned from. The cluster
-     * layer uses it to merge per-machine placements. Unset = the
-     * standard single-machine path, untouched.
-     */
-    std::function<PlacementPlan(const topo::Machine &, const CpuMask &)>
-        planOverride;
-
-    /**
-     * Construction hook invoked after the app, mesh and brownout are
-     * built but before the fault injector arms and the load driver is
-     * created. The cluster layer uses it to add shard/cache services,
-     * install the NodeRouter and start the node scaler. Unset = no-op.
-     */
-    std::function<void(sim::Simulation &, svc::Mesh &, teastore::App &)>
-        postBuild;
-
-    /**
-     * Harvest hook invoked after the standard result harvest (before
-     * the optional drain), with the world still alive. The cluster
-     * layer fills RunResult::scaleout from it. Unset = no-op.
-     */
-    std::function<void(sim::Simulation &, svc::Mesh &, teastore::App &,
-                       RunResult &)>
-        harvestExtra;
 
     std::uint64_t seed = 42;
 };
@@ -250,7 +215,7 @@ struct OverloadSummary
 };
 
 /**
- * Elasticity outcome of one run (filled by autoscale::runElastic).
+ * Elasticity outcome of one run (filled by autoscale::ElasticController).
  * `active` only when the run used a load schedule or an autoscaler;
  * inactive summaries are elided from reports so fixed-rate baseline
  * output is unchanged.
@@ -338,7 +303,7 @@ struct GrayFailSummary
 
 /**
  * Cluster scale-out outcome of one run (filled by
- * cluster::runScaleout's harvest hook). `active` only when the run
+ * cluster::runScaleout's controller). `active` only when the run
  * modeled a multi-machine cluster with cache/shard tiers; inactive
  * summaries are elided from reports so single-machine output is
  * unchanged.
@@ -489,20 +454,49 @@ struct RunResult
     PlacementPlan plan;
 };
 
-/** Run one experiment end to end. */
-RunResult runExperiment(const ExperimentConfig &config);
-
-/** TeaStore op names in op-index order (harvestLoad's opNames). */
-std::vector<std::string> teastoreOpNames();
+class World;
 
 /**
- * Fill result.overload from a finished run. Shared by runExperiment
- * and autoscale::runElastic.
+ * A plug-in that attaches to one run. runExperiment calls every phase
+ * of every controller, in list order, at fixed points of its one
+ * assembly sequence; each default is a no-op.
  */
-void harvestOverload(const ExperimentConfig &config, teastore::App &app,
-                     const loadgen::Measurement &measurement,
-                     const svc::BrownoutController *brownout,
-                     RunResult &result);
+class Controller
+{
+  public:
+    virtual ~Controller() = default;
+
+    /**
+     * Supply the placement plan the app is built and pinned from.
+     * Return true when the plan was filled; the first controller to
+     * do so wins and buildPlacement over the budget is skipped.
+     */
+    virtual bool plan(World &, PlacementPlan &) { return false; }
+
+    /**
+     * After the app and the brownout controller are built, before the
+     * fault injector arms (so fault scripts validate against services
+     * a controller adds) and before the load driver exists.
+     */
+    virtual void build(World &, teastore::App &) {}
+
+    /** After the app and the brownout start, before the driver does. */
+    virtual void start() {}
+
+    /** After the standard harvest, before the optional drain. */
+    virtual void harvest(RunResult &) {}
+
+    /** After the drain (drainAtEnd only), on the quiesced world. */
+    virtual void drained(World &, teastore::App &, RunResult &) {}
+
+    /** At teardown: after the driver stops issuing, before the app
+     * stops. */
+    virtual void stop() {}
+};
+
+/** Run one experiment end to end, with `controllers` attached. */
+RunResult runExperiment(const ExperimentConfig &config,
+                        const std::vector<Controller *> &controllers = {});
 
 /**
  * Fill result.trace from a finished run's mesh: critical-path
@@ -512,18 +506,6 @@ void harvestOverload(const ExperimentConfig &config, teastore::App &app,
  */
 void harvestTrace(const ExperimentConfig &config, const svc::Mesh &mesh,
                   const std::string &root, RunResult &result);
-
-/**
- * Fill result.grayfail from a finished run: outlier-ejection counters,
- * network drop/dup/blackhole counts and the fault injector's tallies
- * (`injector` may be null). Active only when the config enables
- * ejection or scripts a gray-failure fault kind. Shared by
- * runExperiment and autoscale::runElastic.
- */
-void harvestGrayFail(const ExperimentConfig &config, teastore::App &app,
-                     const net::Network &network,
-                     const svc::FaultInjector *injector,
-                     RunResult &result);
 
 /**
  * Measure per-service demand shares with a short OsDefault run of the

@@ -1,6 +1,7 @@
 #include "core/json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <iomanip>
@@ -469,24 +470,55 @@ class JsonParser
                 out += '\f';
                 break;
               case 'u': {
-                for (std::size_t i = 0; i < 4; ++i) {
-                    if (pos_ + i >= text_.size() ||
-                        !std::isxdigit(
-                            static_cast<unsigned char>(text_[pos_ + i])))
-                        fail("bad \\u escape");
+                unsigned code = hex4();
+                if (code >= 0xd800 && code <= 0xdbff &&
+                    text_.substr(pos_, 2) == "\\u") {
+                    // A high surrogate pairs with the low one after it.
+                    pos_ += 2;
+                    const unsigned low = hex4();
+                    if (low < 0xdc00 || low > 0xdfff)
+                        fail("lone surrogate in \\u escape");
+                    code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                } else if (code >= 0xd800 && code <= 0xdfff) {
+                    fail("lone surrogate in \\u escape");
                 }
-                const unsigned code = static_cast<unsigned>(std::strtoul(
-                    std::string(text_.substr(pos_, 4)).c_str(), nullptr,
-                    16));
-                pos_ += 4;
-                // Only the codepoints jsonEscape emits (< 0x80).
-                out += static_cast<char>(code & 0x7f);
+                appendUtf8(out, code);
                 break;
               }
               default:
                 fail("bad escape");
             }
         }
+    }
+
+    /** The four hex digits of a \u escape, consumed. */
+    unsigned
+    hex4()
+    {
+        unsigned code = 0;
+        const char *p = text_.data() + pos_;
+        if (text_.size() - pos_ < 4 ||
+            std::from_chars(p, p + 4, code, 16).ptr != p + 4)
+            fail("bad \\u escape");
+        pos_ += 4;
+        return code;
+    }
+
+    /** Append code point `code` (<= 0x10ffff) as UTF-8. */
+    static void
+    appendUtf8(std::string &out, unsigned code)
+    {
+        if (code < 0x80) {
+            out += static_cast<char>(code);
+            return;
+        }
+        // Lead byte (110xxxxx, 1110xxxx or 11110xxx), then 10xxxxxx
+        // continuation bytes, most significant bits first.
+        const unsigned extra = code < 0x800 ? 1 : code < 0x10000 ? 2 : 3;
+        out += static_cast<char>(((0xff00u >> (extra + 1)) & 0xffu) |
+                                 (code >> (6 * extra)));
+        for (unsigned i = extra; i-- > 0;)
+            out += static_cast<char>(0x80u | ((code >> (6 * i)) & 0x3fu));
     }
 
     /** Skip one of `chars`; false (nothing skipped) otherwise. */

@@ -6,7 +6,7 @@
  * A run measures one world - machine, OS, network and service mesh
  * under an app and a load - warmed up, then observed over a window.
  * World builds that stack from one ExperimentConfig. The runners
- * (core::runExperiment, autoscale::runElastic, socialnet::runSocialnet)
+ * (core::runExperiment with its controllers, socialnet::runSocialnet)
  * put their app, drivers and controllers on top, call runWindows(),
  * then fill only the RunResult blocks that are theirs.
  */

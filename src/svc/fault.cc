@@ -174,12 +174,15 @@ FaultInjector::apply(const FaultEvent &event)
         }
     }
     ++applied_;
-    verbose("fault: ", faultKindName(event.kind), " ", event.service,
-            replicaTargeted(event.kind)
-                ? "#" + std::to_string(event.replica)
-                : faultIsLinkKind(event.kind)
-                      ? "<->" + event.peer
-                      : "x" + std::to_string(event.factor));
+    if (replicaTargeted(event.kind))
+        verbose("fault: ", faultKindName(event.kind), " ", event.service,
+                "#", event.replica);
+    else if (faultIsLinkKind(event.kind))
+        verbose("fault: ", faultKindName(event.kind), " ", event.service,
+                "<->", event.peer);
+    else
+        verbose("fault: ", faultKindName(event.kind), " ", event.service,
+                "x", std::to_string(event.factor));
     switch (event.kind) {
     case FaultEvent::Kind::ReplicaDown:
         mesh_.service(event.service).setReplicaDown(event.replica, true);

@@ -250,8 +250,8 @@ smokeConfig()
     ec.base.placement = core::PlacementKind::CcxAware;
     ec.base.warmup = 300 * kMillisecond;
     ec.base.measure = 1200 * kMillisecond;
-    ec.schedule = makeSchedule("spike", 200.0, 1200.0, ec.base.warmup,
-                               ec.base.measure);
+    ec.base.loadSchedule = makeSchedule("spike", 200.0, 1200.0,
+                                        ec.base.warmup, ec.base.measure);
     ec.initialCores = 8;
     ec.autoscaler.period = 100 * kMillisecond;
     ec.autoscaler.warmup.registrationDelay = 100 * kMillisecond;

@@ -96,7 +96,7 @@ TEST(Logging, ConcurrentLoggingIsSafe)
     std::vector<std::thread> pool;
     for (int t = 0; t < 4; ++t) {
         pool.emplace_back([t]() {
-            LogScope scope("w" + std::to_string(t));
+            LogScope scope(std::string("w").append(std::to_string(t)));
             for (int i = 0; i < 200; ++i)
                 inform("tick ", i);
         });

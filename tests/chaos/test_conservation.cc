@@ -6,15 +6,20 @@
  * every one must balance — zero leaks, zero double closes, issued ==
  * terminals. A final test plants a broken counter in the FIG-12 run
  * and checks the ledger flags it, proving the green results above
- * mean something.
+ * mean something. An elastic run checks the same books, plus the
+ * drained-world invariants, while the autoscaler scales in under an
+ * active fault.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
+#include "autoscale/elastic.hh"
 #include "chaos/ledger.hh"
+#include "chaos/search.hh"
 #include "core/experiment.hh"
 #include "teastore/chaos.hh"
 #include "teastore/criticality.hh"
@@ -126,6 +131,64 @@ TEST(Conservation, BrokenCounterIsCaught)
     EXPECT_NE(violations.front().find("never reached a terminal state"),
               std::string::npos);
     EXPECT_EQ(ledger.openCount(), 1u);
+}
+
+TEST(Conservation, ElasticScaleInUnderFaults)
+{
+    // The ElasticSpike golden's world: a spike the threshold autoscaler
+    // grows into from 2 cores, with a recommender brownout active from
+    // before the spike until after it.
+    autoscale::ElasticConfig ec;
+    ec.base = goldenBase();
+    ec.base.placement = core::PlacementKind::CcxAware;
+    ec.base.faults = teastore::makeChaosScript(
+        teastore::ChaosScenario::Brownout, ec.base.warmup, ec.base.measure);
+    ec.base.resilience = teastore::resilientPolicy();
+    ec.base.app.degradedFallbacks = true;
+    ec.base.loadSchedule = autoscale::makeSchedule(
+        "spike", 200.0, 1200.0, ec.base.warmup, ec.base.measure);
+    ec.initialCores = 2;
+    ec.autoscaler.policy = autoscale::PolicyKind::Threshold;
+    ec.autoscaler.period = 50 * kMillisecond;
+    ec.autoscaler.warmup.registrationDelay = 40 * kMillisecond;
+    ec.autoscaler.warmup.coldWindow = 80 * kMillisecond;
+    ec.autoscaler.scaleOutCooldown = 50 * kMillisecond;
+    ec.autoscaler.scaleInCooldown = 100 * kMillisecond;
+    ec.autoscaler.maxReplicas = 3;
+    ec.recordTimeline = true;
+
+    RequestLedger ledger;
+    ec.base.ledger = &ledger;
+    ec.base.drainAtEnd = true;
+    autoscale::AutoscalerTelemetry telemetry;
+    std::vector<std::string> violations;
+    InvariantChecker checker(violations);
+    const core::RunResult r =
+        autoscale::runElastic(ec, &telemetry, {&checker});
+
+    // The autoscaler scaled in, and a service's active replica count
+    // fell between two control intervals while the brownout was on.
+    EXPECT_GT(r.elastic.scaleIns, 0u);
+    const Tick onset = ec.base.faults.events.front().at;
+    const Tick recovery = ec.base.faults.events.back().at;
+    std::map<std::string, unsigned> active;
+    bool scaledInUnderFault = false;
+    for (const auto &interval : telemetry.timeline) {
+        for (const autoscale::ServiceSample &s : interval) {
+            const auto it = active.find(s.service);
+            if (it != active.end() && s.activeReplicas < it->second &&
+                s.at > onset && s.at <= recovery)
+                scaledInUnderFault = true;
+            active[s.service] = s.activeReplicas;
+        }
+    }
+    EXPECT_TRUE(scaledInUnderFault);
+
+    ledger.verify(violations);
+    EXPECT_TRUE(violations.empty()) << violations.front();
+    EXPECT_GT(ledger.issued(), 0u);
+    EXPECT_EQ(ledger.issued(), ledger.terminals());
+    EXPECT_EQ(ledger.openCount(), 0u);
 }
 
 } // namespace

@@ -6,8 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/experiment.hh"
 #include "core/tuner.hh"
+#include "core/world.hh"
+#include "topo/machine.hh"
 
 namespace microscale::core
 {
@@ -216,6 +222,121 @@ TEST(Experiment, CustomMixShiftsOpCounts)
     EXPECT_EQ(r.perOp.at("checkout").count, 0u);
 }
 
+/** Logs "<tag>.<phase>" for every phase it is called in. */
+class RecordingController : public Controller
+{
+  public:
+    RecordingController(std::string tag, std::vector<std::string> &log)
+        : tag_(std::move(tag)), log_(log)
+    {
+    }
+
+    bool
+    plan(World &, PlacementPlan &) override
+    {
+        log_.push_back(tag_ + ".plan");
+        return false;
+    }
+    void
+    build(World &, teastore::App &) override
+    {
+        log_.push_back(tag_ + ".build");
+    }
+    void start() override { log_.push_back(tag_ + ".start"); }
+    void
+    harvest(RunResult &result) override
+    {
+        // The standard harvest already ran.
+        EXPECT_GT(result.throughputRps, 0.0);
+        log_.push_back(tag_ + ".harvest");
+    }
+    void
+    drained(World &world, teastore::App &, RunResult &) override
+    {
+        EXPECT_EQ(world.sim.foregroundQueued(), 0u);
+        log_.push_back(tag_ + ".drained");
+    }
+    void stop() override { log_.push_back(tag_ + ".stop"); }
+
+  private:
+    std::string tag_;
+    std::vector<std::string> &log_;
+};
+
+TEST(Controller, PhasesRunInOrder)
+{
+    std::vector<std::string> log;
+    RecordingController a("a", log);
+    runExperiment(fastConfig(), {&a});
+    EXPECT_EQ(log, (std::vector<std::string>{"a.plan", "a.build", "a.start",
+                                             "a.harvest", "a.stop"}));
+
+    // The drained phase runs only when the run drains.
+    log.clear();
+    ExperimentConfig c = fastConfig();
+    c.drainAtEnd = true;
+    runExperiment(c, {&a});
+    EXPECT_EQ(log, (std::vector<std::string>{"a.plan", "a.build", "a.start",
+                                             "a.harvest", "a.drained",
+                                             "a.stop"}));
+}
+
+TEST(Controller, EveryControllerSeesEveryPhaseInListOrder)
+{
+    std::vector<std::string> log;
+    RecordingController a("a", log);
+    RecordingController b("b", log);
+    ExperimentConfig c = fastConfig();
+    c.drainAtEnd = true;
+    runExperiment(c, {&a, &b});
+    EXPECT_EQ(log, (std::vector<std::string>{
+                       "a.plan", "b.plan", "a.build", "b.build", "a.start",
+                       "b.start", "a.harvest", "b.harvest", "a.drained",
+                       "b.drained", "a.stop", "b.stop"}));
+}
+
+TEST(Controller, DecliningPlanKeepsBuildPlacementsPlan)
+{
+    ExperimentConfig c = fastConfig();
+    c.placement = PlacementKind::CcxAware;
+    std::vector<std::string> log;
+    RecordingController a("a", log);
+    const RunResult r = runExperiment(c, {&a});
+    const topo::Machine machine(c.machine);
+    const PlacementPlan expected =
+        buildPlacement(c.placement, machine,
+                       budgetMask(machine, c.cores, c.smt), c.demand,
+                       c.sizing);
+    EXPECT_EQ(r.plan.kind, PlacementKind::CcxAware);
+    EXPECT_EQ(r.plan.describe(), expected.describe());
+}
+
+TEST(Controller, FirstPlanningControllerSuppliesThePlan)
+{
+    /** Plans OsDefault over the budget whatever the config says. */
+    struct OsDefaultPlanner : Controller
+    {
+        bool
+        plan(World &world, PlacementPlan &plan) override
+        {
+            plan = buildPlacement(PlacementKind::OsDefault, world.machine,
+                                  world.budget, DemandShares{},
+                                  fastConfig().sizing);
+            return true;
+        }
+    };
+    ExperimentConfig c = fastConfig();
+    c.placement = PlacementKind::CcxAware;
+    OsDefaultPlanner planner;
+    std::vector<std::string> log;
+    RecordingController late("late", log);
+    const RunResult r = runExperiment(c, {&planner, &late});
+    EXPECT_EQ(r.plan.kind, PlacementKind::OsDefault);
+    EXPECT_GT(r.throughputRps, 0.0);
+    // A later controller is not asked once the plan is supplied.
+    EXPECT_EQ(log.front(), "late.build");
+}
+
 TEST(Tuner, AcceptsOnlyImprovingSteps)
 {
     ExperimentConfig c = fastConfig();
@@ -231,8 +352,9 @@ TEST(Tuner, AcceptsOnlyImprovingSteps)
     EXPECT_GT(r.throughputRps, 0.0);
     // The reported best throughput is the max over accepted steps.
     for (const TunerStep &s : r.steps) {
-        if (s.accepted)
+        if (s.accepted) {
             EXPECT_LE(s.throughputRps, r.throughputRps + 1e-9);
+        }
     }
     // Replica counts never exceed the cap.
     EXPECT_LE(r.best.webui.replicas, 2u);

@@ -195,6 +195,24 @@ TEST(Json, ParseRequiresFourHexDigitsInUnicodeEscapes)
     EXPECT_EQ(parseJson("\"\\u0041\\u001f\"").stringValue, "A\x1f");
 }
 
+TEST(Json, ParseDecodesUnicodeEscapesToUtf8)
+{
+    EXPECT_EQ(parseJson("\"\\u00e9\\u4e2d\"").stringValue,
+              "\xc3\xa9\xe4\xb8\xad"); // U+00E9 U+4E2D
+    // A surrogate pair is one 4-byte code point (U+1F600).
+    EXPECT_EQ(parseJson("\"\\ud83d\\ude00\"").stringValue,
+              "\xf0\x9f\x98\x80");
+    // Escapes below 0x80 stay single bytes.
+    EXPECT_EQ(parseJson("\"\\u0000\\u007f\\u0022\"").stringValue,
+              std::string("\0\x7f\"", 3));
+    for (const char *text :
+         {"\"\\ud83d\"", "\"\\ude00\"", "\"\\ud83dx\"",
+          "\"\\ud83d\\u0041\"", "\"\\ud83d\\ud83d\"",
+          "\"\\ud83d\\n\""}) {
+        EXPECT_THROW(parseJson(text), std::runtime_error) << text;
+    }
+}
+
 TEST(Json, WriterEscapesKeysAndStrings)
 {
     // Map keys and string fields are written through jsonEscape, so

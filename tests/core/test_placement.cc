@@ -275,8 +275,9 @@ TEST_P(PlacementProperty, PlansAreAlwaysValid)
                 for (unsigned r = 0; r < sp.replicas; ++r) {
                     EXPECT_FALSE(sp.masks[r].empty()) << name;
                     EXPECT_TRUE(sp.masks[r].subsetOf(budget)) << name;
-                    if (sp.homes[r] != kInvalidNode)
+                    if (sp.homes[r] != kInvalidNode) {
                         EXPECT_LT(sp.homes[r], machine.numNodes());
+                    }
                     if (kind == PlacementKind::CcxAware ||
                         kind == PlacementKind::CcxStripedMem) {
                         const CcxId ccx =

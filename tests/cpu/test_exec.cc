@@ -249,7 +249,7 @@ TEST_F(ExecTest, FrequencyDropsWithActiveCores)
 
     std::vector<ExecContext *> all;
     for (unsigned i = 0; i < 64; ++i) {
-        auto *c = makeCtx("t" + std::to_string(i));
+        auto *c = makeCtx(std::string("t").append(std::to_string(i)));
         give(c, small_, 1e12);
         engine_.startRun(*c, i);
         all.push_back(c);
@@ -377,7 +377,7 @@ TEST_P(ExecConservation, InstructionsConserved)
     unsigned completed = 0;
     for (unsigned i = 0; i < kThreads; ++i) {
         ctxs.push_back(std::make_unique<ExecContext>(
-            "p" + std::to_string(i), kInvalidNode));
+            std::string("p").append(std::to_string(i)), kInvalidNode));
         engine.setWork(*ctxs[i], p, budget, [&completed] { ++completed; });
     }
 

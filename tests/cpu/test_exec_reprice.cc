@@ -100,7 +100,7 @@ runRandomized(const topo::MachineParams &params, unsigned ccxs,
     std::vector<WorkProfile> profiles(n_profiles);
     for (unsigned i = 0; i < n_profiles; ++i) {
         WorkProfile &p = profiles[i];
-        p.name = "p" + std::to_string(i);
+        p.name = std::string("p").append(std::to_string(i));
         p.ipcBase = rng.uniformReal(0.5, 2.0);
         p.l3Apki = rng.uniformReal(1.0, 20.0);
         p.wssBytes = rng.uniformReal(0.5, 24.0) * 1024 * 1024;
@@ -118,7 +118,7 @@ runRandomized(const topo::MachineParams &params, unsigned ccxs,
     std::vector<std::unique_ptr<ExecContext>> ctxs;
     for (unsigned i = 0; i < contexts; ++i) {
         ctxs.push_back(std::make_unique<ExecContext>(
-            "c" + std::to_string(i), kInvalidNode));
+            std::string("c").append(std::to_string(i)), kInvalidNode));
     }
 
     Reached got;

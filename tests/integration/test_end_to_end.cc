@@ -83,8 +83,9 @@ TEST(EndToEnd, MicroservicesLookLikeThePaperSays)
     EXPECT_GT(r.total.icacheMpki, 5.0);
     // Every service saw traffic.
     for (const auto &[name, row] : r.servicePerf) {
-        if (name != teastore::names::kRegistry)
+        if (name != teastore::names::kRegistry) {
             EXPECT_GT(row.utilizationCpus, 0.0) << name;
+        }
     }
 }
 

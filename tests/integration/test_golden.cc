@@ -197,7 +197,7 @@ TEST(Golden, ElasticSpike)
         ec.base.measure);
     ec.base.resilience = teastore::resilientPolicy();
     ec.base.app.degradedFallbacks = true;
-    ec.schedule = autoscale::makeSchedule(
+    ec.base.loadSchedule = autoscale::makeSchedule(
         "spike", 200.0, 1200.0, ec.base.warmup, ec.base.measure);
     ec.initialCores = 2;
     ec.autoscaler.policy = autoscale::PolicyKind::Threshold;
@@ -213,7 +213,7 @@ TEST(Golden, ElasticSpike)
 
 /**
  * Two small8 nodes with a 2-shard, R=2 quorum-replicated data tier,
- * drained at the end: covers runScaleout's harvest hook and the
+ * drained at the end: covers runScaleout's harvest phase and the
  * post-drain replication verification that patches the result.
  */
 TEST(Golden, ClusterQuorumDrained)

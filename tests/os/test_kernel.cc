@@ -127,8 +127,8 @@ TEST_F(KernelTest, ParallelThreadsUseDifferentCpus)
     kernel_.start();
     std::vector<Thread *> threads;
     for (int i = 0; i < 4; ++i) {
-        threads.push_back(kernel_.createThread("t" + std::to_string(i),
-                                               machine_.allCpus()));
+        threads.push_back(kernel_.createThread(
+            std::string("t").append(std::to_string(i)), machine_.allCpus()));
     }
     for (auto *t : threads)
         t->run(profile_, kChunk, [] {});
@@ -271,8 +271,8 @@ TEST_P(KernelProperty, AllWorkCompletesWithinAffinity)
         const CpuId hi = static_cast<CpuId>(
             rng.uniformInt(lo, machine.numCpus() - 1));
         const CpuMask mask = CpuMask::range(lo, hi);
-        jobs.push_back(
-            Job{kernel.createThread("p" + std::to_string(i), mask), mask});
+        const std::string name = std::string("p").append(std::to_string(i));
+        jobs.push_back(Job{kernel.createThread(name, mask), mask});
     }
 
     std::function<void(int)> submit = [&](int i) {

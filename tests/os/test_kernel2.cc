@@ -50,8 +50,8 @@ TEST_F(Kernel2Test, ThreeWayFairnessOnOneCpu)
     kernel_.start();
     Thread *t[3];
     for (int i = 0; i < 3; ++i) {
-        t[i] = kernel_.createThread("f" + std::to_string(i),
-                                    CpuMask::single(0));
+        t[i] = kernel_.createThread(
+            std::string("f").append(std::to_string(i)), CpuMask::single(0));
         t[i]->run(profile_, 20 * kChunk, [] {});
     }
     sim_.run();
@@ -183,8 +183,8 @@ TEST_F(Kernel2Test, ManyThreadsManyCpusAllFinish)
     kernel_.start();
     int done = 0;
     for (int i = 0; i < 32; ++i) {
-        Thread *t = kernel_.createThread("m" + std::to_string(i),
-                                         machine_.allCpus());
+        Thread *t = kernel_.createThread(
+            std::string("m").append(std::to_string(i)), machine_.allCpus());
         t->run(profile_, kChunk * (1 + i % 4), [&done] { ++done; });
     }
     sim_.run();
@@ -225,8 +225,8 @@ TEST(KernelIdleMasks, MatchRecomputationThroughASaturatedRun)
             affinity = CpuMask::single(static_cast<CpuId>(i) % 64);
         else if (i % 4 == 2)
             affinity = machine.ccxMask(i % machine.numCcxs());
-        threads.push_back(
-            kernel.createThread("w" + std::to_string(i), affinity));
+        threads.push_back(kernel.createThread(
+            std::string("w").append(std::to_string(i)), affinity));
     }
 
     int mismatches = 0;

@@ -293,8 +293,9 @@ TEST_F(ResilienceTest, HealthAwareBalancingSkipsDownReplica)
     EXPECT_EQ(ok, 6);
     EXPECT_EQ(s->resilienceCounters().downRejects, 0u);
     for (const Worker &w : s->workers()) {
-        if (w.replica == 0)
+        if (w.replica == 0) {
             EXPECT_EQ(w.thread->ec().counters().instructions, 0.0);
+        }
     }
 }
 

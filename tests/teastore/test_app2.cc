@@ -164,8 +164,9 @@ TEST(App2, PinningAppServicesKeepsThemInPlace)
         ASSERT_TRUE(w.runOp("category", req));
     for (const svc::Worker &worker : w.app.image().workers()) {
         const CpuId last = worker.thread->ec().lastCpu();
-        if (last != kInvalidCpu)
+        if (last != kInvalidCpu) {
             EXPECT_TRUE(ccx1.test(last));
+        }
     }
 }
 

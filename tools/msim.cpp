@@ -311,6 +311,10 @@ main(int argc, char **argv)
         args.getString("fabric") != "ideal";
 
     const std::string schedule = args.getString("schedule");
+    if (!schedule.empty() && !socialnet_mode)
+        point.config.loadSchedule = autoscale::makeSchedule(
+            schedule, args.getDouble("base-rps"),
+            args.getDouble("peak-rps"), config.warmup, config.measure);
     if (socialnet_mode) {
         if (cluster_mode)
             fatal("--app socialnet runs on one machine; drop the "
@@ -401,23 +405,12 @@ main(int argc, char **argv)
             point.config.drainAtEnd = true;
         }
         cp.scaler.enabled = args.getFlag("node-scaler");
-        if (!schedule.empty()) {
-            point.config.loadSchedule = autoscale::makeSchedule(
-                schedule, args.getDouble("base-rps"),
-                args.getDouble("peak-rps"), config.warmup,
-                config.measure);
-            if (point.config.openLoopRps <= 0.0)
-                point.config.openLoopRps = args.getDouble("peak-rps");
-        }
         point.runner = [cp](const core::ExperimentConfig &c) {
             return cluster::runScaleout(c, cp);
         };
     } else if (!schedule.empty()) {
         autoscale::ElasticConfig ec;
-        ec.base = config;
-        ec.schedule = autoscale::makeSchedule(
-            schedule, args.getDouble("base-rps"),
-            args.getDouble("peak-rps"), config.warmup, config.measure);
+        ec.base = point.config;
         ec.initialCores =
             static_cast<unsigned>(args.getInt("initial-cores"));
         const std::string policy = args.getString("autoscale");
