@@ -282,10 +282,8 @@ ExecEngine::repriceSocket(SocketId socket)
     // SMT siblings sit numCores() further on, and the order of the
     // re-arms fixes how same-tick completions are sequenced.
     CcxId collected = ~CcxId(0);
-    for (CpuId c : machine_.socketMask(socket)) {
+    for (CpuId c : machine_.socketMask(socket) & busy_) {
         ExecContext *r = running_[c];
-        if (!r)
-            continue;
         const CcxId ccx = machine_.ccxOf(c);
         if (ccx != collected) {
             collectProfiles(ccx);
@@ -345,7 +343,9 @@ ExecEngine::startRun(ExecContext &ctx, CpuId cpu)
     const CoreId core = machine_.coreOf(cpu);
     const SocketId socket = machine_.socketOf(cpu);
     running_[cpu] = &ctx;
-    if (core_busy_[core]++ == 0)
+    busy_.set(cpu);
+    const bool core_woke = core_busy_[core]++ == 0;
+    if (core_woke)
         ++active_cores_[socket];
 
     ctx.cpu_ = cpu;
@@ -354,7 +354,7 @@ ExecEngine::startRun(ExecContext &ctx, CpuId cpu)
 
     // Reprice everyone affected: whole socket on a frequency-bucket
     // crossing, otherwise just this CCX (covers the SMT sibling too).
-    if (updateSocketFreq(socket))
+    if (core_woke && updateSocketFreq(socket))
         repriceSocket(socket);
     else
         repriceCcx(ccx);
@@ -372,12 +372,14 @@ ExecEngine::detach(ExecContext &ctx)
     const SocketId socket = machine_.socketOf(cpu);
 
     running_[cpu] = nullptr;
-    if (--core_busy_[core] == 0)
+    busy_.clear(cpu);
+    const bool core_slept = --core_busy_[core] == 0;
+    if (core_slept)
         --active_cores_[socket];
     ctx.cpu_ = kInvalidCpu;
     ctx.rate_ = 0.0;
 
-    if (updateSocketFreq(socket))
+    if (core_slept && updateSocketFreq(socket))
         repriceSocket(socket);
     else
         repriceCcx(ccx);
@@ -401,6 +403,9 @@ ExecEngine::complete(ExecContext &ctx)
         reprice(ctx);
         return;
     }
+    // The completion has fired: drop its handle, so detach has no
+    // pending event to cancel.
+    ctx.completion_ = {};
     detach(ctx);
     ctx.profile_ = nullptr;
     ctx.remaining_ = 0.0;
@@ -412,10 +417,8 @@ ExecEngine::complete(ExecContext &ctx)
 void
 ExecEngine::bankAll()
 {
-    for (CpuId c = 0; c < machine_.numCpus(); ++c) {
-        if (running_[c])
-            bank(*running_[c]);
-    }
+    for (CpuId c : busy_)
+        bank(*running_[c]);
 }
 
 void

@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "base/cpumask.hh"
 #include "base/types.hh"
 #include "cpu/counters.hh"
 #include "cpu/work.hh"
@@ -172,6 +173,9 @@ class ExecEngine
     /** Context currently on `cpu`, or nullptr. */
     ExecContext *runningOn(CpuId cpu) const { return running_[cpu]; }
 
+    /** CPUs with a running context: {c : runningOn(c) != nullptr}. */
+    const CpuMask &busyCpus() const { return busy_; }
+
     /**
      * Charge non-retiring busy time (e.g. a context-switch) to a CPU;
      * counted as kernel cycles in `attribute_to` when given.
@@ -251,7 +255,11 @@ class ExecEngine
                        double miss) const;
     bool siblingBusy(CpuId cpu) const;
 
-    /** Refresh socket frequency; returns true if it changed. */
+    /**
+     * Refresh socket frequency; returns true if it changed. Only an
+     * active-core count change can change it, so callers skip it
+     * otherwise.
+     */
     bool updateSocketFreq(SocketId socket);
 
     sim::Simulation &sim_;
@@ -259,6 +267,7 @@ class ExecEngine
     PerfModelParams params_;
 
     std::vector<ExecContext *> running_;  // per cpu
+    CpuMask busy_;                        // CPUs with running_ set
     std::vector<unsigned> core_busy_;     // busy hw threads per core
     std::vector<unsigned> active_cores_;  // per socket
     std::vector<double> socket_freq_ghz_; // per socket (quantized)

@@ -98,6 +98,10 @@ Kernel::refreshLoad(CpuId cpu)
 {
     const unsigned load = cpuLoad(cpu);
     load_.set(cpu, load);
+    if (rq_[cpu].empty())
+        queued_.clear(cpu);
+    else
+        queued_.set(cpu);
     const CpuId sib = machine_.siblingOf(cpu);
     const bool core_idle =
         load == 0 && (sib == kInvalidCpu || cpuIdle(sib));
@@ -122,7 +126,8 @@ Kernel::idleMasksConsistent() const
             cpuIdle(c) && (sib == kInvalidCpu || cpuIdle(sib));
         if (load_.load(c) != cpuLoad(c) ||
             load_.idle().test(c) != cpuIdle(c) ||
-            idle_core_.test(c) != core_idle)
+            idle_core_.test(c) != core_idle ||
+            queued_.test(c) == rq_[c].empty())
             return false;
     }
     return true;
@@ -423,10 +428,11 @@ Thread *
 Kernel::stealFrom(const CpuMask &domain, CpuId for_cpu)
 {
     // Find the deepest queue in the domain holding a thread that is
-    // allowed to run on for_cpu.
+    // allowed to run on for_cpu. An empty queue never beats depth 0,
+    // so only queued CPUs are visited, still in ascending order.
     CpuId busiest = kInvalidCpu;
     std::size_t depth = 0;
-    for (CpuId c : domain) {
+    for (CpuId c : domain & queued_) {
         if (c == for_cpu)
             continue;
         if (rq_[c].size() > depth) {
@@ -455,8 +461,8 @@ Kernel::stealFrom(const CpuMask &domain, CpuId for_cpu)
     return nullptr;
 }
 
-bool
-Kernel::newIdlePull(CpuId cpu)
+Thread *
+Kernel::stealFor(CpuId cpu)
 {
     // Widening search: CCX, then node, then the whole machine.
     const CpuMask *domains[] = {
@@ -465,36 +471,40 @@ Kernel::newIdlePull(CpuId cpu)
         &machine_.allCpus(),
     };
     for (const CpuMask *d : domains) {
-        Thread *t = stealFrom(*d, cpu);
-        if (t) {
-            ++stats_.newIdlePulls;
-            enqueue(t, cpu);
-            schedule(cpu);
-            return true;
-        }
+        if (Thread *t = stealFrom(*d, cpu))
+            return t;
     }
-    return false;
+    return nullptr;
+}
+
+bool
+Kernel::newIdlePull(CpuId cpu)
+{
+    if (queued_.empty())
+        return false;
+    Thread *t = stealFor(cpu);
+    if (!t)
+        return false;
+    ++stats_.newIdlePulls;
+    enqueue(t, cpu);
+    schedule(cpu);
+    return true;
 }
 
 void
 Kernel::balancePass()
 {
-    for (CpuId cpu = 0; cpu < machine_.numCpus(); ++cpu) {
-        if (!cpuIdle(cpu))
-            continue;
-        const CpuMask *domains[] = {
-            &machine_.ccxMask(machine_.ccxOf(cpu)),
-            &machine_.nodeMask(machine_.nodeOf(cpu)),
-            &machine_.allCpus(),
-        };
-        for (const CpuMask *d : domains) {
-            Thread *t = stealFrom(*d, cpu);
-            if (t) {
-                ++stats_.balancePulls;
-                enqueue(t, cpu);
-                schedule(cpu);
-                break;
-            }
+    // Idle CPUs in ascending order. Each pull changes idleness, so the
+    // next one is looked up in the live mask, never in a snapshot (nor
+    // through a held reference: a deeper queue can grow the index).
+    // Once no queue holds a thread, no later CPU can pull anything.
+    for (CpuId cpu = load_.idle().first();
+         cpu != kInvalidCpu && !queued_.empty();
+         cpu = load_.idle().firstCommonFrom(machine_.allCpus(), cpu + 1)) {
+        if (Thread *t = stealFor(cpu)) {
+            ++stats_.balancePulls;
+            enqueue(t, cpu);
+            schedule(cpu);
         }
     }
 }

@@ -163,9 +163,9 @@ class Kernel
     std::size_t queueDepth(CpuId cpu) const { return rq_[cpu].size(); }
 
     /**
-     * Test hook: true when the incrementally kept load index and
-     * idle-core mask equal a recomputation from cpuLoad() and
-     * cpuIdle() over every CPU.
+     * Test hook: true when the incrementally kept load index, idle-core
+     * mask and queued-CPU mask equal a recomputation from cpuLoad(),
+     * cpuIdle() and the run queues over every CPU.
      */
     bool idleMasksConsistent() const;
 
@@ -191,9 +191,9 @@ class Kernel
     CpuId findIdleIn(const CpuMask &mask) const;
 
     /**
-     * Re-derive the load_ entry of `cpu` and the idle_core_ bits of
-     * `cpu` and its SMT sibling. Called after every change to a CPU's
-     * queue, reservation or running context.
+     * Re-derive the load_ entry and queued_ bit of `cpu` and the
+     * idle_core_ bits of `cpu` and its SMT sibling. Called after every
+     * change to a CPU's queue, reservation or running context.
      */
     void refreshLoad(CpuId cpu);
 
@@ -222,7 +222,10 @@ class Kernel
     /** Steal one runnable thread for a newly idle CPU. */
     bool newIdlePull(CpuId cpu);
 
-    /** Try to steal for `cpu` from queues in `domain` - `exclude`. */
+    /** Steal for `cpu` from its CCX, then its node, then anywhere. */
+    Thread *stealFor(CpuId cpu);
+
+    /** Try to steal for `for_cpu` from the other queues in `domain`. */
     Thread *stealFrom(const CpuMask &domain, CpuId for_cpu);
 
     sim::Simulation &sim_;
@@ -239,6 +242,7 @@ class Kernel
     std::vector<double> min_vruntime_;     // per-cpu floor
     LoadIndex load_;    // cpuLoad() per cpu; load 0 = cpuIdle()
     CpuMask idle_core_; // idle CPUs whose SMT sibling is idle (or absent)
+    CpuMask queued_;    // CPUs whose run queue is non-empty
 
     sim::PeriodicEvent tick_;
     sim::PeriodicEvent balancer_;

@@ -9,6 +9,10 @@
  * context: self first, then each new profile in ascending CCX CPU
  * order. Both must give the same double, bit for bit, because the
  * summation order fixes the result and every later event tick.
+ *
+ * The same runs check the engine's occupancy index and its socket
+ * frequencies, which change only when a core goes idle or busy,
+ * against a recomputation from runningOn().
  */
 
 #include <gtest/gtest.h>
@@ -78,17 +82,69 @@ struct Reached
     unsigned offCcx = 0;        // rateOn for a context not on the CCX
     unsigned maxDistinct = 0;   // distinct profiles on one CCX
     unsigned mismatches = 0;
+    unsigned indexChecks = 0;   // busy-mask and frequency checks
+    std::vector<unsigned> freqChanges; // per socket, between checks
 };
 
 /**
+ * Count a failure unless busyCpus() equals {c : runningOn(c)} and each
+ * socket's frequency equals the curve at its recomputed active-core
+ * count. `freq` holds the frequencies of the previous check.
+ */
+void
+checkIndex(const ExecEngine &engine, std::vector<double> &freq, Reached &got)
+{
+    const topo::Machine &m = engine.machine();
+    CpuMask busy;
+    std::vector<bool> core_active(m.numCores(), false);
+    std::vector<unsigned> active(m.numSockets(), 0);
+    for (CpuId c = 0; c < m.numCpus(); ++c) {
+        if (!engine.runningOn(c))
+            continue;
+        busy.set(c);
+        if (!core_active[m.coreOf(c)]) {
+            core_active[m.coreOf(c)] = true;
+            ++active[m.socketOf(c)];
+        }
+    }
+    ++got.indexChecks;
+    if (engine.busyCpus() != busy) {
+        ++got.mismatches;
+        ADD_FAILURE() << "busy mask " << engine.busyCpus().toString()
+                      << " != running " << busy.toString();
+    }
+    const unsigned cores_per_socket = m.numCores() / m.numSockets();
+    got.freqChanges.resize(m.numSockets(), 0);
+    freq.resize(m.numSockets(), 0.0);
+    for (SocketId s = 0; s < m.numSockets(); ++s) {
+        const double want =
+            m.params().freq.freqGhz(active[s], cores_per_socket);
+        const double have = engine.socketFreqGhz(s);
+        if (bits(have) != bits(want)) {
+            ++got.mismatches;
+            ADD_FAILURE() << "socket " << s << " at " << have
+                          << " GHz, curve gives " << want << " for "
+                          << active[s] << " active cores";
+        }
+        if (have != freq[s])
+            ++got.freqChanges[s];
+        freq[s] = have;
+    }
+}
+
+/**
  * Random starts, stops and completions of `contexts` contexts over the
- * CPUs of the first `ccxs` CCXs, drawing each work item's profile from
+ * CPUs of the CCXs `ccxs`, drawing each work item's profile from
  * `profiles`. After every step, each running context's miss ratio and
  * missRatioOn, and missRatioOn for every waiting context on a random
- * CPU, must equal the reference bit for bit.
+ * CPU, must equal the reference bit for bit. The occupancy index and
+ * socket frequencies are checked after every step and every
+ * completion; the only other events, cold-refill wake-ups, leave
+ * occupancy alone.
  */
 Reached
-runRandomized(const topo::MachineParams &params, unsigned ccxs,
+runRandomized(const topo::MachineParams &params,
+              const std::vector<CcxId> &ccxs,
               unsigned n_profiles, unsigned contexts, unsigned steps,
               std::uint64_t seed)
 {
@@ -110,7 +166,7 @@ runRandomized(const topo::MachineParams &params, unsigned ccxs,
     profiles.back().wssBytes = 0.0;
 
     std::vector<CpuId> cpus;
-    for (CcxId x = 0; x < ccxs; ++x) {
+    for (CcxId x : ccxs) {
         for (CpuId c : machine.ccxCpus(x))
             cpus.push_back(c);
     }
@@ -122,6 +178,7 @@ runRandomized(const topo::MachineParams &params, unsigned ccxs,
     }
 
     Reached got;
+    std::vector<double> freq;
     auto expectRatio = [&](const ExecContext &ctx, CpuId cpu,
                            double have) {
         const double want = referenceMissRatio(
@@ -134,7 +191,8 @@ runRandomized(const topo::MachineParams &params, unsigned ccxs,
         }
     };
     auto checkAll = [&] {
-        for (CcxId x = 0; x < ccxs; ++x) {
+        checkIndex(engine, freq, got);
+        for (CcxId x : ccxs) {
             std::vector<const WorkProfile *> distinct;
             for (CpuId c : machine.ccxCpus(x)) {
                 const ExecContext *r = engine.runningOn(c);
@@ -187,7 +245,9 @@ runRandomized(const topo::MachineParams &params, unsigned ccxs,
             ExecContext &ctx = *waiting[rng.index(waiting.size())];
             if (!ctx.hasWork()) {
                 engine.setWork(ctx, profiles[rng.index(n_profiles)],
-                               rng.uniformReal(1e4, 5e6), [] {});
+                               rng.uniformReal(1e4, 5e6), [&] {
+                                   checkIndex(engine, freq, got);
+                               });
             }
             engine.startRun(ctx, idle[rng.index(idle.size())]);
         } else if (!running.empty()) {
@@ -204,7 +264,8 @@ TEST(ExecReprice, MatchesPerContextScanOnRome128)
     // profile several times over, SMT pairs form, threads migrate and
     // go cold, completions reprice single contexts, and active-core
     // changes cross frequency buckets.
-    const Reached r = runRandomized(topo::rome128(), 3, 5, 30, 3000, 11);
+    const Reached r =
+        runRandomized(topo::rome128(), {0, 1, 2}, 5, 30, 3000, 11);
     EXPECT_EQ(r.mismatches, 0u);
     EXPECT_GT(r.checks, 10000u);
     EXPECT_GT(r.duplicates, 1000u);
@@ -222,11 +283,35 @@ TEST(ExecReprice, MatchesPerContextScanOnA32CpuCcx)
     params.ccxsPerNode = 1;
     params.cache.l3BytesPerCcx = 64ull * 1024 * 1024;
     ASSERT_EQ(topo::Machine(params).cpusPerCcx(), 32u);
-    const Reached r = runRandomized(params, 2, 40, 100, 3000, 12);
+    const Reached r = runRandomized(params, {0, 1}, 40, 100, 3000, 12);
     EXPECT_EQ(r.mismatches, 0u);
     EXPECT_GE(r.maxDistinct, 20u);
     EXPECT_GT(r.duplicates, 100u);
     EXPECT_GT(r.cold, 0u);
+}
+
+TEST(ExecReprice, OccupancyIndexMatchesRunningOnTwoSockets)
+{
+    // Five CCXs on each socket of rome128x2, 64 threads: the active
+    // core count of both sockets crosses the 8-core frequency buckets
+    // up and down while the busy mask and socket frequencies are
+    // checked against a recomputation.
+    const topo::Machine machine(topo::rome128x2());
+    const unsigned per_socket = machine.numCcxs() / machine.numSockets();
+    std::vector<CcxId> ccxs;
+    for (SocketId s = 0; s < machine.numSockets(); ++s) {
+        for (CcxId x = 0; x < 5; ++x) {
+            ccxs.push_back(s * per_socket + x);
+            ASSERT_EQ(machine.socketOf(machine.ccxCpus(ccxs.back()).front()),
+                      s);
+        }
+    }
+    const Reached r = runRandomized(topo::rome128x2(), ccxs, 6, 64, 3000, 13);
+    EXPECT_EQ(r.mismatches, 0u);
+    EXPECT_GT(r.indexChecks, 6000u);
+    ASSERT_EQ(r.freqChanges.size(), 2u);
+    EXPECT_GT(r.freqChanges[0], 10u);
+    EXPECT_GT(r.freqChanges[1], 10u);
 }
 
 TEST(ExecReprice, FrequencyCrossingRearmsInSocketCpuOrder)

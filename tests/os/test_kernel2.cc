@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -293,6 +295,32 @@ TEST(KernelIdleMasks, MatchRecomputationThroughASaturatedRun)
     EXPECT_GT(st.preemptions, 0u);
     EXPECT_GT(st.newIdlePulls, 0u);
     EXPECT_GT(st.balancePulls, 0u);
+
+    // No golden reaches a balance pull or an affinity-filtered steal,
+    // so this run pins them: the exact end-of-run counters and a digest
+    // of every thread's placement history, from the linear steal scan
+    // over every CPU of each domain that the occupancy masks replaced.
+    EXPECT_EQ(st.wakeups, 1106u);
+    EXPECT_EQ(st.contextSwitches, 3492u);
+    EXPECT_EQ(st.preemptions, 2386u);
+    EXPECT_EQ(st.migrations, 587u);
+    EXPECT_EQ(st.ccxMigrations, 186u);
+    EXPECT_EQ(st.balancePulls, 7u);
+    EXPECT_EQ(st.newIdlePulls, 298u);
+    std::string history;
+    for (const Thread *t : threads) {
+        const cpu::PerfCounters &c = t->ec().counters();
+        history.append(std::to_string(c.migrations))
+            .append(",")
+            .append(std::to_string(c.ccxMigrations))
+            .append(",")
+            .append(std::to_string(c.contextSwitches))
+            .append(",")
+            .append(std::to_string(
+                std::bit_cast<std::uint64_t>(c.instructions)))
+            .append(";");
+    }
+    EXPECT_EQ(hashLabel(history), 0xb5f7949d81a28fceull);
 }
 
 } // namespace
