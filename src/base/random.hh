@@ -12,6 +12,7 @@
 #define MICROSCALE_BASE_RANDOM_HH
 
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <string_view>
 #include <vector>
@@ -20,7 +21,60 @@ namespace microscale
 {
 
 /**
- * A self-contained pseudo-random stream (xoshiro-seeded mt19937_64).
+ * std::mt19937_64, output for output, holding no state array until its
+ * 157th draw.
+ *
+ * After seeding, output k < 156 of the first twist depends only on the
+ * seeded words x_k, x_{k+1} and x_{k+156}, none of which that twist has
+ * overwritten yet. Two cursors walk the seeding recurrence to supply
+ * them. The 157th draw builds a std::mt19937_64 from the same seed,
+ * discards 156 values and delegates to it from then on. A stream that
+ * draws at most 156 values (a simulated user in a short run) costs
+ * about 40 bytes instead of 2.5 KB and never runs the full seeding.
+ */
+class LazyMt19937_64
+{
+  public:
+    using result_type = std::uint64_t;
+
+    /** Draws served before the standard engine is built. */
+    static constexpr std::uint32_t lazyDraws =
+        std::mt19937_64::state_size - std::mt19937_64::shift_size;
+
+    static constexpr result_type min() { return std::mt19937_64::min(); }
+    static constexpr result_type max() { return std::mt19937_64::max(); }
+
+    explicit LazyMt19937_64(result_type seed) : seed_(seed), lo_(seed) {}
+
+    LazyMt19937_64(const LazyMt19937_64 &other);
+    LazyMt19937_64 &operator=(const LazyMt19937_64 &other);
+    LazyMt19937_64(LazyMt19937_64 &&) noexcept = default;
+    LazyMt19937_64 &operator=(LazyMt19937_64 &&) noexcept = default;
+
+    result_type operator()()
+    {
+        if (full_)
+            return (*full_)();
+        return lazyDraw();
+    }
+
+    /** Whether the standard engine has been built (past draw 156). */
+    bool materialized() const { return full_ != nullptr; }
+
+  private:
+    result_type lazyDraw();
+
+    result_type seed_;
+    /** x_k, where k is the number of values drawn so far. */
+    std::uint64_t lo_;
+    /** x_{k+156}; walked from the seed on the first draw. */
+    std::uint64_t hi_ = 0;
+    std::uint32_t drawn_ = 0;
+    std::unique_ptr<std::mt19937_64> full_;
+};
+
+/**
+ * A self-contained pseudo-random stream (splitmix-seeded mt19937_64).
  */
 class Rng
 {
@@ -89,11 +143,8 @@ class Rng
      */
     void fillLognormalUnit(double *out, std::size_t n, double cv);
 
-    /** Underlying engine, for std distributions. */
-    std::mt19937_64 &engine() { return engine_; }
-
   private:
-    std::mt19937_64 engine_;
+    LazyMt19937_64 engine_;
 };
 
 /**

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
 #include <set>
 #include <vector>
 
@@ -224,6 +226,117 @@ TEST(Random, SampleBatchRefillsTransparently)
     for (int i = 0; i < 30; ++i)
         EXPECT_DOUBLE_EQ(batch.next(), b.exponential(2.0));
     EXPECT_GT(batch.buffered(), 0u);
+}
+
+// Seeds for the oracle tests: the edge values plus a spread of others.
+std::vector<std::uint64_t>
+oracleSeeds()
+{
+    std::vector<std::uint64_t> seeds = {0, 1, ~0ull};
+    std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+    while (seeds.size() < 1000) {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        seeds.push_back(x ^ (x >> 29));
+    }
+    return seeds;
+}
+
+TEST(Random, LazyEngineMatchesStandardEngine)
+{
+    // 1,000 raw outputs cross the lazy/standard boundary at 156 and
+    // two full twists of the 312-word state.
+    for (std::uint64_t seed : oracleSeeds()) {
+        LazyMt19937_64 lazy(seed);
+        std::mt19937_64 oracle(seed);
+        for (int i = 0; i < 1000; ++i)
+            ASSERT_EQ(lazy(), oracle()) << "seed " << seed << " draw " << i;
+    }
+}
+
+TEST(Random, LazyEngineCopiesContinueIdentically)
+{
+    for (std::uint64_t seed : {std::uint64_t(0), std::uint64_t(5),
+                               ~std::uint64_t(0)}) {
+        for (int at : {0, 1, 155, 156, 157, 700}) {
+            LazyMt19937_64 lazy(seed);
+            std::mt19937_64 oracle(seed);
+            for (int i = 0; i < at; ++i)
+                ASSERT_EQ(lazy(), oracle());
+            const std::mt19937_64 oracleCopy = oracle;
+            LazyMt19937_64 copy = lazy;
+            LazyMt19937_64 assigned(seed + 1);
+            assigned();
+            assigned = lazy;
+            // Advance the original first: the copies must not share state.
+            std::mt19937_64 o1 = oracleCopy;
+            for (int i = 0; i < 400; ++i)
+                ASSERT_EQ(lazy(), o1()) << "at " << at << " draw " << i;
+            std::mt19937_64 o2 = oracleCopy;
+            std::mt19937_64 o3 = oracleCopy;
+            for (int i = 0; i < 400; ++i) {
+                ASSERT_EQ(copy(), o2()) << "at " << at << " draw " << i;
+                ASSERT_EQ(assigned(), o3()) << "at " << at << " draw " << i;
+            }
+            LazyMt19937_64 moved = std::move(copy);
+            EXPECT_EQ(moved(), o2());
+        }
+    }
+}
+
+TEST(Random, LazyEngineBuildsTheStandardEngineOnDraw157)
+{
+    LazyMt19937_64 lazy(3);
+    LazyMt19937_64 untouched(3);
+    for (int i = 0; i < 156; ++i)
+        lazy();
+    EXPECT_FALSE(lazy.materialized());
+    lazy();
+    EXPECT_TRUE(lazy.materialized());
+    EXPECT_FALSE(untouched.materialized());
+    const LazyMt19937_64 copy = lazy;
+    EXPECT_TRUE(copy.materialized());
+}
+
+TEST(Random, RngFitsInOneCacheLine)
+{
+    // A simulated user holds one Rng; before its 157th draw the stream
+    // is a few words, not a 2.5 KB engine.
+    EXPECT_LE(sizeof(Rng), 64u);
+}
+
+TEST(Random, RngCopiesAndMovesKeepTheStreamPosition)
+{
+    for (int at : {0, 156, 200}) {
+        Rng a(11, "copy");
+        for (int i = 0; i < at; ++i)
+            a.uniform01();
+        Rng b = a;
+        Rng c(1);
+        c = a;
+        std::vector<double> want;
+        for (int i = 0; i < 300; ++i)
+            want.push_back(a.uniform01());
+        Rng d = std::move(c);
+        for (double v : want) {
+            EXPECT_EQ(b.uniform01(), v);
+            EXPECT_EQ(d.uniform01(), v);
+        }
+    }
+}
+
+TEST(Random, RngStreamsArePinned)
+{
+    // FNV-1a digest of raw draws from three streams, taken before the
+    // engine became lazy: the seed mixing and engine output must not
+    // move, or every golden run moves with them.
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (Rng rng : {Rng(0), Rng(1, "loadgen.user.0"), Rng(7, "net")}) {
+        for (int i = 0; i < 400; ++i) {
+            h ^= rng.uniformInt(0, ~std::uint64_t(0));
+            h *= 0x100000001b3ULL;
+        }
+    }
+    EXPECT_EQ(h, 0x2c9b0fb13bd523baull);
 }
 
 } // namespace
